@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .dictionary import (
     DEFAULT_WINDOW_LIMIT,
@@ -14,7 +13,6 @@ from .dictionary import (
     WindowTooLarge,
     classify_dictionary,
     kernel_elements,
-    progressive_mask,
 )
 from .gf2poly import Gf2Poly, recurrence_kernel
 from .ledrappier import LEDRAPPIER, complete_patch, conjugate_vertical, stack_orbit
@@ -24,7 +22,6 @@ from .starcomm import (
     certify_system,
     independence_profile,
     star_commute_windows,
-    star_commutes_on_kernel,
 )
 from .words import Word
 
@@ -117,51 +114,36 @@ def _render_analysis(payload: dict) -> None:
         print("simplicity: %s" % cert["simplicity_report"])
 
 
-def _classify_range(n: int, lo: int, hi: int):
-    """Classify one contiguous range of completion choices (pool worker)."""
-    progressive = 0
-    admissible = []
-    for choice in range(lo, hi):
-        record = classify_dictionary(Dictionary(n, progressive_mask(n, choice)))
-        if record.progressive:
-            progressive += 1
-        if record.admissible:
-            admissible.append((record.members, str(record.polynomial)))
-    return progressive, admissible
+def _classification_payload(n: int, max_n: int) -> dict:
+    """All dictionaries of window n, counted in closed form.
 
-
-def _classification_payload(n: int, jobs: int, max_n: int) -> dict:
+    A progressive dictionary picks one completion per (n-1)-prefix.  The
+    admissible ones are exactly the linear rules of the polynomials of
+    degree n-1, and such a polynomial *-commutes with the shift exactly
+    when it is coprime to t, that is, when its constant term is 1.
+    """
     if n < 2 or n > max_n:
         raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
-    choices = 1 << (1 << (n - 1))
-    shards = []
-    if jobs <= 1 or choices <= jobs:
-        shards.append(_classify_range(n, 0, choices))
-    else:
-        step = -(-choices // jobs)
-        bounds = [(lo, min(lo + step, choices)) for lo in range(0, choices, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shards = list(pool.map(_classify_range, *zip(*[(n, lo, hi) for lo, hi in bounds])))
-    progressive = sum(s[0] for s in shards)
-    rows = sorted((members, poly) for s in shards for members, poly in s[1])
-    admissible = []
-    stars = 0
-    for members, poly_text in rows:
-        star = star_commutes_on_kernel(Gf2Poly.t(), Gf2Poly.parse(poly_text))
-        stars += star
-        admissible.append(
-            {"members": members, "polynomial": poly_text, "star_commutes_with_shift": star}
-        )
+    top = 1 << (n - 1)
+    rows = []
+    for low in range(top):
+        poly = Gf2Poly(top | low)
+        members = str(Dictionary(n, WindowMap.from_poly(poly).rule))
+        rows.append((members, str(poly), bool(low & 1)))
+    rows.sort()
     return {
         "kind": "classification",
         "window": n,
         "counts": {
             "total": 1 << (1 << n),
-            "progressive": progressive,
-            "admissible": len(admissible),
-            "star_commuting_with_shift": stars,
+            "progressive": 1 << top,
+            "admissible": top,
+            "star_commuting_with_shift": top >> 1,
         },
-        "admissible": admissible,
+        "admissible": [
+            {"members": members, "polynomial": poly, "star_commutes_with_shift": star}
+            for members, poly, star in rows
+        ],
     }
 
 
@@ -254,12 +236,11 @@ def _render_relations(payload: dict) -> None:
 
 def _ledrappier_payload(base_text: str, steps: int | None) -> dict:
     base = Word.from_str(base_text)
-    conjugate = conjugate_vertical(base)
     if steps is None:
         rows = [str(r) for r in complete_patch(base).rows]
     else:
         rows = [str(r) for r in stack_orbit(LEDRAPPIER, base, steps)]
-    agree = len(rows) < 2 or rows[1] == str(conjugate.prefix(len(rows[1])))
+    agree = len(rows) < 2 or rows[1] == str(conjugate_vertical(base).prefix(len(rows[1])))
     payload = {
         "kind": "ledrappier",
         "base": str(base),
@@ -291,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dictionary", help="comma-separated member words, e.g. 01,10")
     add_json(p)
 
-    p = sub.add_parser("classify", help="enumerate and classify all dictionaries of one window")
+    p = sub.add_parser("classify", help="count and list the admissible dictionaries of one window")
     p.add_argument("window", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the enumeration")
     p.add_argument("--max-n", type=int, default=DEFAULT_WINDOW_LIMIT, help="largest allowed window")
     add_json(p)
 
@@ -327,7 +307,7 @@ def main(argv=None) -> int:
             payload = _analysis_payload(Dictionary.from_text(args.dictionary))
             _emit(payload, args.json, _render_analysis)
         elif args.command == "classify":
-            payload = _classification_payload(args.window, args.jobs, args.max_n)
+            payload = _classification_payload(args.window, args.max_n)
             _emit(payload, args.json, _render_classification)
         elif args.command == "kernel":
             payload = _kernel_payload(args.dict_text, args.poly_text)

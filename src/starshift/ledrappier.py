@@ -79,9 +79,8 @@ def conjugate_vertical(base: Word) -> Word:
         raise WordTooShort("vertical step needs length at least 2")
     by_sums = _pair_sums(base)
     by_dictionary = apply_window_map(LEDRAPPIER, base)
-    by_shift = Word.from_bits(
-        base.bit(i) ^ base.bit(i + 1) for i in range(1, base.length)
-    )
+    width = base.length - 1
+    by_shift = Word(width, (base.bits ^ (base.bits >> 1)) & ((1 << width) - 1))
     if not (by_sums == by_dictionary == by_shift):
         raise AssertionError("vertical step routes disagree")
     return by_sums

@@ -6,8 +6,9 @@ For finite carriers this is decided directly and cross-checked against
 three equivalent fiber conditions.  For the linear sliding-window maps
 given by polynomials a, b over GF(2), *-commutation, strong independence
 (trivial kernel intersection) and independence (ker a + ker b = ker ab)
-all collapse to gcd(a, b) = 1; each flag is still computed by two
-independent routes and the agreement is asserted.
+all collapse to gcd(a, b) = 1, so the independence profile is read off
+the gcd; the kernel-level definitions remain available as
+`star_commutes_on_kernel` and `recurrence_kernel`.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def star_commute_windows(m1: WindowMap, m2: WindowMap, depth: int = 4) -> StarDe
     img2 = m2.image_table(length)
     counts = np.bincount(img1, minlength=1 << (length - m1.window + 1))
     assert (counts == m1.fiber_count).all() or not m1.is_progressive
-    combined = (img1 << 20) | img2
+    combined = (img1 << (length - m2.window + 1)) | img2
     order = np.argsort(combined, kind="stable")
     dup = np.nonzero(np.diff(combined[order]) == 0)[0]
     if dup.size:
@@ -149,27 +150,19 @@ class IndependenceProfile:
 def independence_profile(a: Gf2Poly, b: Gf2Poly) -> IndependenceProfile:
     """Kernel-level independence flags for two nonzero polynomials.
 
-    Each flag is computed on explicit kernel sets and again from the gcd;
-    for this linear family the three notions coincide with coprimality,
-    which the assertions document.
+    For this linear family strong independence, independence and
+    *-commutation all coincide with gcd(a, b) = 1.  Since
+    ker a ∩ ker b = ker gcd(a, b), the shared-kernel witness is the first
+    nonzero element of the gcd's kernel in `sort_key` order.
     """
     if a.is_zero or b.is_zero:
         raise ZeroPolynomial("independence profile needs nonzero polynomials")
     gcd = poly_gcd(a, b)
     coprime = gcd == Gf2Poly.one()
-    ka = recurrence_kernel(a)
-    kb = recurrence_kernel(b)
-    shared = sorted(
-        (s for s in set(ka) & set(kb) if not s.is_zero), key=lambda s: s.sort_key()
-    )
-    strongly = set(ka) & set(kb) == {PeriodicSeq.zero()}
-    assert strongly == coprime
-    product = {s + t for s in ka for t in kb}
-    independent = product == set(recurrence_kernel(a * b))
-    assert independent == coprime
-    star = star_commutes_on_kernel(a, b)
-    assert star == coprime
-    return IndependenceProfile(strongly, independent, star, shared[0] if shared else None)
+    witness = None
+    if not coprime:
+        witness = next(s for s in recurrence_kernel(gcd) if not s.is_zero)
+    return IndependenceProfile(coprime, coprime, coprime, witness)
 
 
 @dataclass(frozen=True)

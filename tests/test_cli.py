@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its JSON report schema."""
 
+import functools
 import importlib.resources as resources
 import json
 import shutil
@@ -8,7 +9,8 @@ import subprocess
 import jsonschema
 import pytest
 
-from starshift.cli import build_parser, main
+from starshift import Gf2Poly, classify_dictionary, enumerate_dictionaries, star_commutes_on_kernel
+from starshift.cli import _classification_payload, build_parser, main
 
 SCHEMA = json.loads(
     resources.files("starshift").joinpath("schemas/cli.schema.json").read_text("utf-8")
@@ -118,11 +120,35 @@ class TestClassify:
             "t^2": False,
         }
 
-    def test_jobs_do_not_change_output(self, capsys):
-        code1, out1, _ = run(capsys, ["classify", "3", "--json"])
-        code2, out2, _ = run(capsys, ["classify", "3", "--jobs", "2", "--json"])
-        assert code1 == code2 == 0
-        assert out1 == out2
+    def test_closed_form_matches_enumeration(self):
+        """The closed-form report equals the one built by classifying every
+        progressive dictionary and deciding *-commutation on kernels."""
+        for n in range(2, 6):
+            progressive = 0
+            rows = []
+            for d in enumerate_dictionaries(n, "progressive"):
+                record = classify_dictionary(d)
+                progressive += record.progressive
+                if record.admissible:
+                    star = star_commutes_on_kernel(Gf2Poly.t(), record.polynomial)
+                    rows.append((record.members, str(record.polynomial), star))
+            rows.sort()
+            oracle = {
+                "kind": "classification",
+                "window": n,
+                "counts": {
+                    "total": 1 << (1 << n),
+                    "progressive": progressive,
+                    "admissible": len(rows),
+                    "star_commuting_with_shift": sum(star for _, _, star in rows),
+                },
+                "admissible": [
+                    {"members": m, "polynomial": p, "star_commutes_with_shift": star}
+                    for m, p, star in rows
+                ],
+            }
+            dump = functools.partial(json.dumps, indent=2, sort_keys=True)
+            assert dump(_classification_payload(n, 5)) == dump(oracle)
 
     def test_window_out_of_range(self, capsys):
         for argv in [["classify", "1"], ["classify", "6"], ["classify", "5", "--max-n", "4"]]:
@@ -226,11 +252,16 @@ class TestLedrappier:
         assert code == 0
         assert out.splitlines()[:4] == ["1101", "011", "10", "1"]
 
+    def test_single_cell_base(self, capsys):
+        code, payload = run_json(capsys, ["ledrappier", "1"])
+        assert code == 0
+        assert payload["rows"] == ["1"]
+        assert payload["routes_agree"] is True
+
     def test_errors_exit_2(self, capsys):
-        for argv in [["ledrappier", "1"], ["ledrappier", "1101", "--steps", "9"]]:
-            code, out, err = run(capsys, argv)
-            assert code == 2
-            assert err.startswith("error:")
+        code, out, err = run(capsys, ["ledrappier", "1101", "--steps", "9"])
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestParser:

@@ -9,6 +9,7 @@ from starshift import (
     DynamicalSystem,
     FiniteMapPair,
     Gf2Poly,
+    IndependenceProfile,
     InvalidSystem,
     MonoidElement,
     NonCommutingMaps,
@@ -55,6 +56,20 @@ def monic_polys(min_degree, max_degree):
         for low in range(1 << d):
             out.append(Gf2Poly(low | (1 << d)))
     return out
+
+
+def kernel_set_profile(a, b):
+    """The independence profile by its definitions on explicit kernel sets:
+    the kernel intersection, the sum set against the kernel of a*b, kernel
+    bijectivity, and the first shared nonzero sequence."""
+    ka, kb = set(recurrence_kernel(a)), set(recurrence_kernel(b))
+    shared = sorted((s for s in ka & kb if not s.is_zero), key=lambda s: s.sort_key())
+    return IndependenceProfile(
+        strongly_independent=ka & kb == {PeriodicSeq.zero()},
+        independent={s + t for s in ka for t in kb} == set(recurrence_kernel(a * b)),
+        star_commute=star_commutes_on_kernel(a, b),
+        shared_kernel_witness=shared[0] if shared else None,
+    )
 
 
 class TestFiniteStar:
@@ -168,6 +183,15 @@ class TestWindowStar:
                 )
                 assert decision.star == expected
 
+    def test_wide_second_image_keeps_its_key(self):
+        """The sort key holds the second image whole: here it has 21 bits
+        and the gcd is 1, so no two words may share both images."""
+        m1 = WindowMap.from_poly(Gf2Poly.parse("t+t^2+t^15"))
+        m2 = WindowMap.from_poly(Gf2Poly.parse("1+t"))
+        decision = star_commute_windows(m1, m2)
+        assert decision.star
+        assert decision.witness is None
+
     def test_self_pair_never_stars(self):
         for text in ("t", "1+t", "1+t+t^2"):
             m = WindowMap.from_poly(Gf2Poly.parse(text))
@@ -227,6 +251,11 @@ class TestIndependence:
                 assert profile.independent == expected
                 assert profile.star_commute == expected
                 assert (profile.shared_kernel_witness is None) == expected
+
+    def test_matches_kernel_sets_on_monic_pairs(self):
+        for a in monic_polys(1, 4):
+            for b in monic_polys(1, 4):
+                assert independence_profile(a, b) == kernel_set_profile(a, b)
 
     def test_shared_witness_lies_in_both_kernels(self):
         a, b = Gf2Poly.parse("t+t^2"), Gf2Poly.parse("t^2+t^3")

@@ -324,6 +324,51 @@ def standard_frame(m: WindowMap) -> list:
     ]
 
 
+def _join(left: np.ndarray, right: np.ndarray):
+    """All index pairs (i, j) with left[i] == right[j], grouped by value."""
+    size = int(max(left.max(initial=0), right.max(initial=0))) + 1
+    lcount = np.bincount(left, minlength=size)
+    rcount = np.bincount(right, minlength=size)
+    per = lcount * rcount
+    value = np.repeat(np.arange(size), per)
+    offset = np.arange(value.size) - np.repeat(np.cumsum(per) - per, per)
+    width = rcount[value]
+    li = np.argsort(left, kind="stable")[(np.cumsum(lcount) - lcount)[value] + offset // width]
+    ri = np.argsort(right, kind="stable")[(np.cumsum(rcount) - rcount)[value] + offset % width]
+    return li, ri
+
+
+def _frame_gram(frame, level: int, den: int):
+    """The Gram sum_nu nu(p) nu(p') over level words p, p', exactly.
+
+    `den` is a common multiple of the member denominators; the result is
+    the (2^level x 2^level) numerators a, b of (a + b*sqrt2) / den^2.
+    """
+    lifted = [nu.embed(level) for nu in frame]
+    a = np.stack([f.num_a * (den // f.den) for f in lifted])
+    b = np.stack([f.num_b * (den // f.den) for f in lifted])
+    top = int(max(np.abs(a).max(), np.abs(b).max()))
+    if 3 * len(frame) * top * top >= 1 << 62:
+        raise OverflowError("frame numerators grew unexpectedly large")
+    return a.T @ a + 2 * (b.T @ b), a.T @ b + b.T @ a
+
+
+def _fiber_gram(m: WindowMap, level: int, prefix: int, ga: np.ndarray, gb: np.ndarray):
+    """A prefix Gram read on the same-fiber pairs of level words.
+
+    Returns the pairs (rows, cols) of level words y, y' with m(y) = m(y'),
+    2^level * fibers of them for a progressive map, and the entries of the
+    Gram (ga, gb over words of length `prefix`) at their prefixes.  With
+    the Gram of a frame this is the entry pattern of sum_nu M_nu S S* M_nu,
+    so it decides Parseval reconstruction, relation (IV) and frame
+    independence.
+    """
+    table = m.image_table(level)
+    rows, cols = _join(table, table)
+    shift = level - prefix
+    return rows, cols, ga[rows >> shift, cols >> shift], gb[rows >> shift, cols >> shift]
+
+
 def verify_frame(frame, m: WindowMap) -> None:
     """Raise NotAFrame unless the family is a Parseval frame for m.
 
@@ -331,30 +376,34 @@ def verify_frame(frame, m: WindowMap) -> None:
     map is injective on each support (no two support words with distinct
     length-(n-1) prefixes share an image word), and that reconstruction
     holds on the full cylinder basis one window beyond the frame level.
+    Both the squares and reconstruction are read off the frame Gram
+    sum_nu nu(y) nu(y'): the squares are its diagonal, and reconstruction
+    of the indicator of u is sum_nu nu E(nu chi_u), whose value at y is the
+    Gram entry at (y, u) over the fiber count when y and u share an image,
+    so it holds exactly when that scaled Gram is the identity on the
+    same-fiber pairs.
     """
     if not frame:
         raise NotAFrame("empty family")
     n = m.window
-    inv_n = QuadScalar.of(Fraction(1, m.fiber_count))
-    total = CylinderFunction.zero()
-    for nu in frame:
-        total = total + (nu * nu).scale(inv_n)
-    if total != CylinderFunction.one():
+    prefix = max(nu.level for nu in frame)
+    den = math.lcm(*(nu.den for nu in frame))
+    ga, gb = _frame_gram(frame, prefix, den)
+    scale = m.fiber_count * den * den
+    if (np.diagonal(ga) != scale).any() or np.diagonal(gb).any():
         raise NotAFrame("normalized squares do not sum to one")
     for nu in frame:
-        level = max(nu.level, n - 1)
-        lifted = nu.embed(level)
-        support = [v for v in range(1 << level) if lifted.num_a[v] or lifted.num_b[v]]
-        images = m.image_table(level)[support] if support else []
-        if len(set(int(i) for i in images)) != len(support):
+        lifted = nu.embed(max(nu.level, n - 1))
+        support = np.flatnonzero(lifted.num_a | lifted.num_b)
+        images = m.image_table(lifted.level)[support]
+        if np.unique(images).size != support.size:
             raise NotAFrame("map is not injective on a frame support")
-    check_level = max(nu.level for nu in frame) + n - 1
-    for f in basis(check_level):
-        total = CylinderFunction.zero(f.level)
-        for nu in frame:
-            total = total + nu * expectation(m, nu * f)
-        if total != f.embed(total.level):
-            raise NotAFrame("reconstruction fails on the level-%d basis" % check_level)
+    if not m.is_progressive:
+        raise NotProgressive("transfer needs a progressive rule")
+    check_level = prefix + n - 1
+    rows, cols, ga, gb = _fiber_gram(m, check_level, prefix, ga, gb)
+    if (ga != scale * (rows == cols)).any() or gb.any():
+        raise NotAFrame("reconstruction fails on the level-%d basis" % check_level)
 
 
 def refine_frame(frame1, m1: WindowMap, frame2, m2: WindowMap) -> list:

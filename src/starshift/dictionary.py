@@ -199,7 +199,9 @@ def apply_window_map(m, w: Word) -> Word:
     return Word(w.length - n + 1, out)
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded, so the tables of one run are reused without keeping every
+# table of the process alive.
+@functools.lru_cache(maxsize=128)
 def _image_table(m: WindowMap, length: int) -> np.ndarray:
     n = m.window
     if length < n - 1:
@@ -305,11 +307,10 @@ def kernel_elements(d: Dictionary) -> list:
     continuation is followed until the (n-1)-symbol state repeats, which
     happens within 2^(n-1) + n steps.
     """
-    record = classify_dictionary(d)
-    if not record.progressive:
+    m = d.to_window_map()
+    if not m.is_progressive:
         raise NotProgressive(str(d))
     n = d.window
-    m = d.to_window_map()
     horizon = (1 << (n - 1)) + n
     out = []
     for seed in range(1 << (n - 1)):

@@ -2,10 +2,14 @@
 
 At level k the space of level-k cylinder functions is 2^k dimensional and
 the isometry of a window-n progressive map sends the indicator of a word
-x to the normalized sum of the indicators of its 2^(n-1) preimage words,
-so it is a (2^(k+n-1) x 2^k) matrix with entries 0 or fibers^(-1/2).
-Operators store two integer matrices (rational and sqrt2 numerators) over
-one positive denominator, so every relation check below is exact.
+x to the normalized sum of the indicators of its F = 2^(n-1) preimage
+words, so it is a (2^(k+n-1) x 2^k) matrix with exactly one nonzero entry,
+F^(-1/2), per row: the image table of the map times one scalar.  The
+relation suite works on that form, so every product of isometries, their
+adjoints and multiplication operators is a count or a join over image
+tables, compared exactly; its cost grows like the largest table,
+2^(k+n-1) entries.  `LevelOperator` is the dense form, two integer
+matrices (rational and sqrt2 numerators) over one positive denominator.
 """
 
 from __future__ import annotations
@@ -16,15 +20,40 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cylinder import CylinderFunction, QuadScalar, alpha, refine_frame, standard_frame, transfer
+from .cylinder import (
+    CylinderFunction,
+    QuadScalar,
+    _fiber_gram,
+    _frame_gram,
+    _join,
+    _preimage_table,
+    alpha,
+    refine_frame,
+    standard_frame,
+)
 from .dictionary import NotProgressive, WindowMap
 from .gf2poly import Gf2Poly, poly_gcd
 from .starcomm import DynamicalSystem, InvalidSystem, MonoidElement, _coprimality_witnesses
 from .words import PeriodicSeq, Word
 
+# The most image-table entries one relation check may need.
+TABLE_BUDGET = 1 << 24
+
 
 class LevelTooSmall(ValueError):
     """The requested level cannot host the relation checks."""
+
+
+class LevelTooLarge(ValueError):
+    """The requested level needs image tables beyond the entry budget."""
+
+    def __init__(self, level: int, entries: int):
+        self.level = level
+        self.entries = entries
+        super().__init__(
+            "level %d needs an image table of 2^%d = %d entries, over the budget of 2^%d"
+            % (level, entries.bit_length() - 1, entries, TABLE_BUDGET.bit_length() - 1)
+        )
 
 
 class NoSeparation(ValueError):
@@ -237,14 +266,47 @@ class RelationReport:
         }
 
 
-def _witness_dict(pair_names, diff: LevelOperator) -> dict:
-    row, col, value = diff.first_nonzero()
+def _inv_root(d: int) -> QuadScalar:
+    """F^(-1/2) for F = 2^d fibers."""
+    if d % 2 == 0:
+        return QuadScalar.of(Fraction(1, 1 << (d // 2)))
+    return QuadScalar.of(0, Fraction(1, 1 << ((d + 1) // 2)))
+
+
+def _witness(pair_names, row: Word, col: Word, value: QuadScalar) -> dict:
     return {
         "pair": list(pair_names),
         "row": str(row),
         "col": str(col),
         "value": str(value),
     }
+
+
+def _count_difference(lhs: np.ndarray, rhs: np.ndarray):
+    """The smallest key counted differently by two key arrays, and lhs minus rhs there.
+
+    Each key is row << (column bits) | column of one unit entry, so the
+    smallest key is the row-major first entry where the two sides differ.
+    """
+    lhs, rhs = np.sort(lhs), np.sort(rhs)
+    if np.array_equal(lhs, rhs):
+        return None
+    keys, where = np.unique(np.concatenate([lhs, rhs]), return_inverse=True)
+    net = np.bincount(where[: lhs.size], minlength=keys.size) - np.bincount(
+        where[lhs.size :], minlength=keys.size
+    )
+    i = int(np.flatnonzero(net)[0])
+    return int(keys[i]), int(net[i])
+
+
+def _first_entry(rows, cols, col_bits: int, num_a, num_b, den: int):
+    """The row-major first pair with a nonzero (num_a + num_b*sqrt2) / den."""
+    live = np.flatnonzero(num_a | num_b)
+    if live.size == 0:
+        return None
+    i = live[np.argmin((rows[live] << col_bits) | cols[live])]
+    value = QuadScalar(Fraction(int(num_a[i]), den), Fraction(int(num_b[i]), den))
+    return int(rows[i]), int(cols[i]), value
 
 
 def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
@@ -257,6 +319,15 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     (IV)  sum_w M_{nu_w} S_p S_p* M_{nu_w} = 1 for the standard frame,
     plus frame-choice independence of the reconstruction sum for products
     of two generators and the matrix-unit algebra of the frame operators.
+
+    S_p has one nonzero entry, c = F^(-1/2), per row, in the column of the
+    row's image, so each side is computed from image tables: S_p M_f has
+    rows f(img(y)) at column img(y); S_p* M_chi_u S_p is c^2 at the single
+    diagonal entry img(u); S_p* S_q counts the y with a given pair of
+    images and S_q S_p* joins words with equal images; S_p S_p* is c^2 on
+    the pairs of words that share an image.  A failing relation names the
+    first failing indicator u (I, II) or frame word b (matrix units) and
+    the row-major first entry of the difference of its two sides.
     """
     windows = [m.window for m in sys.generators]
     if not windows:
@@ -265,6 +336,9 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     composite_window = 2 * max_window - 1
     if level < max_window + 2 or level < composite_window - 1:
         raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
+    entries = 1 << (level + max_window - 1)
+    if entries > TABLE_BUDGET:
+        raise LevelTooLarge(level, entries)
     k = level
     relations = {
         "I": True,
@@ -277,112 +351,131 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     witnesses = {}
     pair_details = []
 
-    def record(name, pair_names, diff):
+    def record(name, pair_names, row, col, value):
         relations[name] = False
         if name not in witnesses:
-            witnesses[name] = _witness_dict(pair_names, diff)
+            witnesses[name] = _witness(pair_names, row, col, value)
 
+    words = np.arange(1 << k, dtype=np.int64)
     for m, name in zip(sys.generators, sys.names):
-        n = m.window
-        top = isometry_matrix(m, k)
-        img = m.image_table(k + n - 1)
-        # (I): both sides vanish outside the sparsity pattern of S_p, so
-        # compare the masked rows and columns for every basis indicator.
-        for u in range(1 << k):
-            rows = img == u
-            col_a, col_b = top.num_a[:, u], top.num_b[:, u]
-            off_rows = ~rows
-            ok = not col_a[off_rows].any() and not col_b[off_rows].any()
-            in_rows = int(np.count_nonzero(top.num_a[rows])) + int(
-                np.count_nonzero(top.num_b[rows])
-            )
-            in_col = int(np.count_nonzero(col_a[rows])) + int(np.count_nonzero(col_b[rows]))
-            if not ok or in_rows != in_col:
-                chi = CylinderFunction.indicator(Word(k, u))
-                lhs = top.scale_cols(chi)
-                rhs = top.scale_rows(alpha(m, chi))
-                record("I", (name,), lhs - rhs)
-                break
-        # (II): the sandwich with diag(indicator of u) is the outer product
-        # of row u of S_p with itself; compare with the transfer diagonal.
-        for u in range(1 << (k + n - 1)):
-            ra, rb = top.num_a[u], top.num_b[u]
-            oa = np.outer(ra, ra) + 2 * np.outer(rb, rb)
-            ob = np.outer(ra, rb) + np.outer(rb, ra)
-            lhs = LevelOperator(k, k, oa, ob, top.den * top.den)
-            t = transfer(m, CylinderFunction.indicator(Word(k + n - 1, u)))
-            rhs = LevelOperator.from_cylinder(t, k)
-            if lhs != rhs:
-                record("II", (name,), lhs - rhs)
-                break
+        if not m.is_progressive:
+            raise NotProgressive("isometries need a progressive rule")
+        d = m.window - 1
+        fibers = m.fiber_count
+        c = _inv_root(d)
+        img = m.image_table(k + d)
+        # (I): S_p M_chi_u has c at (y, u) for img(y) = u, M_{alpha chi_u} S_p
+        # has c at (y, img(y)) for (alpha chi_u)(y) = 1; alpha of the
+        # coordinate function gives every alpha chi_u at once.
+        pulled = alpha(m, CylinderFunction(k, words, np.zeros_like(words), 1)).num_a
+        moved = np.flatnonzero(img != pulled)
+        if moved.size:
+            u = int(min(img[moved].min(), pulled[moved].min()))
+            y = int(np.flatnonzero((img == u) != (pulled == u))[0])
+            if img[y] == u:
+                record("I", (name,), Word(k + d, y), Word(k, u), c)
+            else:
+                record("I", (name,), Word(k + d, y), Word(k, int(img[y])), -c)
+        # (II): entry (u, x) is [img(u) = x] against the number of times
+        # the transfer's fiber of x lists u, both times c^2.
+        fiber_words = _preimage_table(m, k)
+        found = _count_difference(
+            (np.arange(img.size, dtype=np.int64) << k) | img,
+            ((fiber_words << k) | words[:, None]).ravel(),
+        )
+        if found is not None:
+            key, net = found
+            x = Word(k, key & ((1 << k) - 1))
+            record("II", (name,), x, x, QuadScalar.of(Fraction(net, fibers)))
         # (IV) and the matrix-unit algebra for the standard frame.
         frame = standard_frame(m)
-        s_low = isometry_matrix(m, k - n + 1)
-        t_op = s_low @ s_low.adjoint()
-        total = None
-        for nu in frame:
-            term = t_op.scale_rows(nu).scale_cols(nu)
-            total = term if total is None else total + term
-        if total != LevelOperator.identity(k):
-            record("IV", (name,), total - LevelOperator.identity(k))
-        fiber_scalar = QuadScalar.of(m.fiber_count)
-        sym = t_op - t_op.adjoint()
-        if not sym.is_zero:
-            record("orthonormal_matrix_units", (name,), sym)
-        for b, nu_b in enumerate(frame):
-            chi_b = CylinderFunction.indicator(Word(n - 1, b))
-            inner = (t_op.scale_cols(chi_b) @ t_op).scaled(fiber_scalar)
-            if inner != t_op:
-                record("orthonormal_matrix_units", (name,), inner - t_op)
+        prefix = max(nu.level for nu in frame)
+        den = math.lcm(*(nu.den for nu in frame))
+        scale = fibers * den * den
+        rows, cols, ga, gb = _fiber_gram(m, k, prefix, *_frame_gram(frame, prefix, den))
+        found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
+        if found is not None:
+            row, col, value = found
+            record("IV", (name,), Word(k, row), Word(k, col), value)
+        # S_p S_p* M_chi_b S_p S_p* = c^2 S_p S_p* exactly when every fiber
+        # holds one word of prefix b; distinct frame members are orthogonal.
+        low = m.image_table(k)
+        per_prefix = np.bincount(
+            (words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
+        ).reshape(fibers, -1)
+        lifted = [nu.embed(prefix) for nu in frame]
+        support = np.stack([(f.num_a | f.num_b) != 0 for f in lifted])
+        shared = (support & (support.sum(axis=0) > 1)).any(axis=1)
+        for b in range(len(frame)):
+            bad = per_prefix[b][low] != 1
+            if bad.any():
+                y = Word(k, int(np.argmax(bad)))
+                value = QuadScalar.of(Fraction(int(per_prefix[b][low[y.bits]]) - 1, fibers))
+                record("orthonormal_matrix_units", (name,), y, y, value)
                 break
-            for c, nu_c in enumerate(frame):
-                if c != b and not (nu_b * nu_c).is_zero:
-                    record("orthonormal_matrix_units", (name,), t_op)
-                    break
+            if shared[b]:
+                record("orthonormal_matrix_units", (name,), Word(k, 0), Word(k, 0), c * c)
+                break
 
-    # (III) for every unordered pair of distinct generators.
+    # (III) for every unordered pair of distinct generators: entry (x', x)
+    # of S_i* S_j counts y with img_i(y) = x' and img_j(y) = x; entry
+    # (z, v) of S_j S_i* is 1 when img_j(z) = img_i(v); both times c_i c_j.
     for i in range(sys.rank):
         for j in range(i + 1, sys.rank):
             mi, mj = sys.generators[i], sys.generators[j]
             di, dj = mi.window - 1, mj.window - 1
-            lhs = isometry_matrix(mi, k + dj - di).adjoint() @ isometry_matrix(mj, k)
-            rhs = isometry_matrix(mj, k - di) @ isometry_matrix(mi, k - di).adjoint()
-            holds = lhs == rhs
+            zs, vs = _join(mj.image_table(k - di + dj), mi.image_table(k))
+            found = _count_difference(
+                (mi.image_table(k + dj) << k) | mj.image_table(k + dj), (zs << k) | vs
+            )
             gcd = poly_gcd(mi.linear_poly, mj.linear_poly)
             detail = {
                 "pair": [sys.names[i], sys.names[j]],
                 "gcd": str(gcd),
                 "coprime": gcd == Gf2Poly.one(),
-                "holds": holds,
+                "holds": found is None,
             }
-            if not holds:
+            if found is not None:
+                key, net = found
+                value = _inv_root(di) * _inv_root(dj) * QuadScalar.of(net)
+                witness = _witness(
+                    (sys.names[i], sys.names[j]),
+                    Word(k + dj - di, key >> k),
+                    Word(k, key & ((1 << k) - 1)),
+                    value,
+                )
                 relations["III"] = False
-                if "III" not in witnesses:
-                    witnesses["III"] = _witness_dict((sys.names[i], sys.names[j]), lhs - rhs)
-                detail["witness"] = _witness_dict((sys.names[i], sys.names[j]), lhs - rhs)
+                witnesses.setdefault("III", witness)
+                detail["witness"] = witness
             pair_details.append(detail)
 
-    # Frame independence for products of two generators (including squares).
+    # Frame independence for products of two generators (including squares):
+    # the reconstruction sums of the two frames differ by c^2 times the
+    # difference of their Grams on the same-fiber pairs, and not at all
+    # when the Grams agree on every pair of prefixes.
     for i in range(sys.rank):
         for j in range(i, sys.rank):
             mi, mj = sys.generators[i], sys.generators[j]
             comp = mi.compose(mj)
-            s_comp = isometry_matrix(comp, k - comp.window + 1)
-            t_comp = s_comp @ s_comp.adjoint()
-
-            def recon_sum(frame):
-                total = None
-                for nu in frame:
-                    term = t_comp.scale_rows(nu).scale_cols(nu)
-                    total = term if total is None else total + term
-                return total
-
-            std = recon_sum(standard_frame(comp))
-            refined = recon_sum(
-                refine_frame(standard_frame(mi), mi, standard_frame(mj), mj)
-            )
-            if std != refined:
-                record("frame_independence", (sys.names[i], sys.names[j]), std - refined)
+            std = standard_frame(comp)
+            refined = refine_frame(standard_frame(mi), mi, standard_frame(mj), mj)
+            prefix = max(nu.level for nu in std + refined)
+            den = math.lcm(*(nu.den for nu in std + refined))
+            sa, sb = _frame_gram(std, prefix, den)
+            ra, rb = _frame_gram(refined, prefix, den)
+            if np.array_equal(sa, ra) and np.array_equal(sb, rb):
+                continue
+            rows, cols, da, db = _fiber_gram(comp, k, prefix, sa - ra, sb - rb)
+            found = _first_entry(rows, cols, k, da, db, comp.fiber_count * den * den)
+            if found is not None:
+                row, col, value = found
+                record(
+                    "frame_independence",
+                    (sys.names[i], sys.names[j]),
+                    Word(k, row),
+                    Word(k, col),
+                    value,
+                )
 
     return RelationReport(level, relations, witnesses, tuple(pair_details))
 
@@ -434,28 +527,26 @@ def expectation_defect(
     if k < max(dp, dq):
         raise LevelTooSmall("level below the degrees of p and q")
     if poly_p == poly_q:
-        s = isometry_matrix(mp, k - dp)
-        base = s @ s.adjoint()
-        op = base.scale_rows(f).scale_cols(g)
-        return DefectReport(k, k, k, op.diagonal(), ())
+        # The diagonal of S_p S_p* is c^2 on every word.
+        c = _inv_root(dp)
+        return DefectReport(k, k, k, (f * g).embed(k).scale(c * c), ())
     working = k + max(dp, dq)
-    sq = isometry_matrix(mq, working - dq)
-    sp = isometry_matrix(mp, working - dq)
     target = working - dq + dp
-    base = sp @ sq.adjoint()
-    op = base.scale_rows(f.embed(target)).scale_cols(g.embed(working))
+    # Entry (v, z) of S_p S_q* is c_p c_q when img_p(v) = img_q(z); the
+    # diagonal reads it at the target and working prefixes of one word.
     diag_level = max(working, target)
-    rows = np.arange(1 << diag_level, dtype=np.int64) >> (diag_level - target)
-    cols = np.arange(1 << diag_level, dtype=np.int64) >> (diag_level - working)
-    diagonal = CylinderFunction(
-        diag_level, op.num_a[rows, cols], op.num_b[rows, cols], op.den
+    t = np.arange(1 << diag_level, dtype=np.int64)
+    live = (
+        mp.image_table(target)[t >> (diag_level - target)]
+        == mq.image_table(working)[t >> (diag_level - working)]
     )
-    base_diag_a = base.num_a[rows, cols]
-    base_diag_b = base.num_b[rows, cols]
-    live = np.nonzero(np.abs(base_diag_a) + np.abs(base_diag_b))[0]
-    defect = sorted({int(v) >> (diag_level - k) for v in live})
+    mask = live.astype(np.int64)
+    diagonal = (CylinderFunction(diag_level, mask, np.zeros_like(mask), 1) * f * g).scale(
+        _inv_root(dp) * _inv_root(dq)
+    )
+    defect = np.unique(t[live] >> (diag_level - k))
     return DefectReport(
-        k, working, target, diagonal, tuple(Word(k, v) for v in defect)
+        k, working, target, diagonal, tuple(Word(k, int(v)) for v in defect)
     )
 
 
@@ -476,7 +567,9 @@ def annihilating_bump(
     The images of x under the two maps are computed exactly as eventually
     periodic sequences; if they differ at coordinate j, the prefix of x of
     some length m <= j + max(deg p, deg q) already separates the orbits,
-    and the returned level certifies chi S_p S_q* chi = 0 by matrix check.
+    and the returned level certifies chi S_p S_q* chi = 0: no word under
+    the prefix at the target level shares an image with one at the
+    working level.
     """
     mp, mq = sys.map_of(p), sys.map_of(q)
     image_p = mp.apply_seq(x)
@@ -491,11 +584,11 @@ def annihilating_bump(
     bound = j + max(dp, dq)
     for m in range(1, bound + 1):
         u = x.prefix(m)
-        chi = CylinderFunction.indicator(u)
         working = m + max(mp.window, mq.window) + 1
-        sq = isometry_matrix(mq, working - dq)
-        sp = isometry_matrix(mp, working - dq)
-        sandwich = (sp @ sq.adjoint()).scale_rows(chi).scale_cols(chi)
-        if sandwich.is_zero:
+        target = working - dq + dp
+        lo, hi = u.bits, u.bits + 1
+        rows = mp.image_table(target)[lo << (target - m) : hi << (target - m)]
+        cols = mq.image_table(working)[lo << (working - m) : hi << (working - m)]
+        if not np.isin(rows, cols).any():
             return BumpReport(u, working)
     raise AssertionError("separation bound exceeded; this cannot happen")

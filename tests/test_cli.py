@@ -231,6 +231,12 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "t", "--level", "0"])
         assert code == 2
 
+    def test_level_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "t", "1+t", "--level", "60"])
+        assert code == 2
+        assert out == ""
+        assert "2^61 = 2305843009213693952 entries" in err
+
 
 class TestLedrappier:
     def test_complete_patch(self, capsys):

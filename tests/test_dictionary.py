@@ -270,7 +270,7 @@ class TestKernelElements:
                 assert len(kernel_elements(d)) == 1 << (n - 1)
 
     def test_not_progressive_raises(self):
-        with pytest.raises(NotProgressive):
+        with pytest.raises(NotProgressive, match="^01,10,11$"):
             kernel_elements(Dictionary.from_text("01,10,11"))
 
 
@@ -283,6 +283,18 @@ class TestWindowMapRegularity:
                     images = m.image_table(k + n - 1)
                     counts = np.bincount(images, minlength=1 << k)
                     assert (counts == 1 << (n - 1)).all()
+
+    def test_image_table_cache_is_bounded(self):
+        from starshift.dictionary import _image_table
+
+        maxsize = _image_table.cache_info().maxsize
+        assert maxsize == 128
+        maps = [d.to_window_map() for d in enumerate_dictionaries(3, "progressive")]
+        for m in maps:
+            for length in range(2, 12):
+                m.image_table(length)
+        assert len(maps) * 10 > maxsize
+        assert _image_table.cache_info().currsize <= maxsize
 
     def test_image_table_matches_apply(self):
         m = Dictionary.from_text("001,010,100,111").to_window_map()

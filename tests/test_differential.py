@@ -1,0 +1,340 @@
+"""Differential tests: the image-table relation suite against the dense oracle.
+
+`dense_oracle` keeps the `LevelOperator` route of every relation check.
+The reports of both routes must agree exactly, witnesses included, on the
+systems the other tests use and on deliberately broken inputs: tampered
+image tables, a tampered composition operator and broken frames, so that
+every relation fails somewhere and its witness order and value are
+compared.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import starshift.cylinder as cylinder
+import starshift.dictionary as dictionary
+import starshift.matrixmodel as matrixmodel
+from dense_oracle import (
+    dense_annihilating_bump,
+    dense_expectation_defect,
+    dense_verify_frame,
+    dense_verify_relations,
+)
+from starshift import (
+    CylinderFunction,
+    DynamicalSystem,
+    Gf2Poly,
+    LevelOperator,
+    MonoidElement,
+    PeriodicSeq,
+    QuadScalar,
+    WindowMap,
+    Word,
+    annihilating_bump,
+    basis,
+    enumerate_dictionaries,
+    expectation_defect,
+    refine_frame,
+    standard_frame,
+    verify_frame,
+    verify_relations,
+)
+from starshift.cli import main
+
+# Every system whose relations the other tests check.
+SYSTEMS = [("t", "1+t"), ("t", "t+t^2"), ("t",), ("t", "1+t", "1+t+t^2")]
+
+
+def system(polys):
+    return DynamicalSystem.from_polys([Gf2Poly.parse(p) for p in polys])
+
+
+def oracle_output(polys, level):
+    """The exit code and `verify --json` text the dense route gives."""
+    report = dense_verify_relations(system(polys), level)
+    payload = {"kind": "relations", "generators": [str(Gf2Poly.parse(p)) for p in polys]}
+    payload.update(report.to_json_dict())
+    code = 0 if all(payload["relations"].values()) else 1
+    return code, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("level", [6, 7, 8, 9])
+@pytest.mark.parametrize("polys", SYSTEMS, ids="_".join)
+def test_verify_json_matches_dense_route(capsys, polys, level):
+    code = main(["verify", *polys, "--level", str(level), "--json"])
+    out = capsys.readouterr().out
+    assert (code, out) == oracle_output(polys, level)
+
+
+def outcome(fn, *args):
+    """The report as JSON, or the type and message of the error raised."""
+    try:
+        return fn(*args).to_json_dict()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def swapped(table, y1, y2):
+    table = table.copy()
+    table[[y1, y2]] = table[[y2, y1]]
+    table.setflags(write=False)
+    return table
+
+
+def tamper_tables(monkeypatch, targets):
+    """Swap two entries of the image tables keyed (map, length) in `targets`."""
+    original = dictionary._image_table
+
+    def tampered(m, length):
+        table = original(m, length)
+        if (m, length) in targets:
+            table = swapped(table, *targets[m, length])
+        return table
+
+    monkeypatch.setattr(dictionary, "_image_table", tampered)
+
+
+def near_swap(table):
+    """The first word and the next word with another image."""
+    return 0, int(np.flatnonzero(table != table[0])[0])
+
+
+def far_swap(table):
+    """The first word and the last word with another image."""
+    return 0, int(np.flatnonzero(table != table[0])[-1])
+
+
+def falling_swap(table):
+    """The first word with a nonzero image and the last word with image zero."""
+    return int(np.flatnonzero(table)[0]), int(np.flatnonzero(table == 0)[-1])
+
+
+def assert_routes_agree(polys, level):
+    sys_ = system(polys)
+    new = outcome(verify_relations, sys_, level)
+    assert new == outcome(dense_verify_relations, sys_, level)
+    return new
+
+
+TAMPER_CASES = [
+    # (generator index, which table, which swap, relations besides III that fail)
+    (0, "top", near_swap, {"II"}),
+    (1, "top", far_swap, {"II"}),
+    (0, "level", near_swap, set()),
+    (1, "level", far_swap, {"IV", "orthonormal_matrix_units"}),
+]
+
+
+@pytest.mark.parametrize("gen, where, swap, fails", TAMPER_CASES, ids=str)
+@pytest.mark.parametrize("polys", [("t", "1+t"), ("t", "t+t^2"), ("t", "1+t", "1+t+t^2")], ids="_".join)
+def test_tampered_tables_fail_alike(monkeypatch, polys, gen, where, swap, fails):
+    """The top table feeds I, II and III; the level table feeds III, IV and the matrix units."""
+    level = 6
+    sys_ = system(polys)
+    m = sys_.generators[gen]
+    if where == "top":
+        key = (m, level + m.window - 1)
+    else:
+        key = (m, level)
+    tamper_tables(monkeypatch, {key: swap(dictionary._image_table(*key))})
+    report = assert_routes_agree(polys, level)
+    failing = {name for name, holds in report["relations"].items() if not holds}
+    assert failing == fails | {"III"}
+    assert set(report["witnesses"]) == failing
+
+
+def test_tampered_tables_reach_every_table_relation(monkeypatch):
+    """II, III, IV and the matrix units each fail with a witness."""
+    polys, level = ("t", "1+t"), 6
+    m0, m1 = system(polys).generators
+    keys = [(m0, level + 1), (m1, level)]
+    tamper_tables(monkeypatch, {key: far_swap(dictionary._image_table(*key)) for key in keys})
+    report = assert_routes_agree(polys, level)
+    assert set(report["witnesses"]) == {"II", "III", "IV", "orthonormal_matrix_units"}
+
+
+@pytest.mark.parametrize("swap", [near_swap, far_swap, falling_swap])
+@pytest.mark.parametrize("polys", [("t", "1+t"), ("1+t+t^2",)], ids="_".join)
+def test_tampered_alpha_fails_relation_one_alike(monkeypatch, polys, swap):
+    """Swapped images put the witness of (I) in the isometry's column or in alpha's row."""
+    level = 6
+    m = system(polys).generators[-1]
+    length = level + m.window - 1
+    moved = swapped(m.image_table(length), *swap(m.image_table(length)))
+    real = cylinder.alpha
+
+    def tampered_alpha(m_, f):
+        if m_ == m and f.level + m_.window - 1 == length:
+            return CylinderFunction(length, f.num_a[moved], f.num_b[moved], f.den)
+        return real(m_, f)
+
+    monkeypatch.setattr(cylinder, "alpha", tampered_alpha)
+    monkeypatch.setattr(matrixmodel, "alpha", tampered_alpha)
+    report = assert_routes_agree(polys, level)
+    assert report["relations"]["I"] is False
+    assert report["witnesses"]["I"]["pair"] == [system(polys).names[-1]]
+
+
+def scaled_member(frame):
+    frame = list(frame)
+    frame[0] = frame[0].scale(QuadScalar.of(2))
+    return frame
+
+
+def spread_member(frame):
+    frame = list(frame)
+    frame[-1] = frame[-1] + frame[0]
+    return frame
+
+
+@pytest.mark.parametrize("broken", [scaled_member, spread_member])
+@pytest.mark.parametrize("polys", [("t", "1+t"), ("t", "1+t+t^2")], ids="_".join)
+def test_broken_frames_fail_alike(monkeypatch, polys, broken):
+    """A broken generator frame fails IV, the matrix units and frame independence alike."""
+    target = system(polys).generators[-1]
+    real = cylinder.standard_frame
+
+    def frames(m):
+        return broken(real(m)) if m == target else real(m)
+
+    def unchecked_refine(frame1, m1, frame2, m2):
+        return [nu1 * cylinder.alpha(m1, nu2) for nu1 in frame1 for nu2 in frame2]
+
+    for module in (cylinder, matrixmodel):
+        monkeypatch.setattr(module, "standard_frame", frames)
+        monkeypatch.setattr(module, "refine_frame", unchecked_refine)
+    report = assert_routes_agree(polys, 6)
+    assert report["relations"]["IV"] is False
+    assert report["relations"]["frame_independence"] is False
+    if broken is spread_member:
+        assert report["relations"]["orthonormal_matrix_units"] is False
+
+
+def test_broken_frame_is_refused_alike(monkeypatch):
+    real = cylinder.standard_frame
+    monkeypatch.setattr(matrixmodel, "standard_frame", lambda m: scaled_member(real(m)))
+    monkeypatch.setattr(cylinder, "standard_frame", lambda m: scaled_member(real(m)))
+    kind, message = assert_routes_agree(("t", "1+t"), 6)
+    assert (kind, message) == ("NotAFrame", "normalized squares do not sum to one")
+
+
+SHIFT = WindowMap.shift()
+LED = WindowMap.from_poly(Gf2Poly.parse("1+t+t^2"))
+
+
+def frame_cases():
+    maps = [d.to_window_map() for n in (2, 3) for d in enumerate_dictionaries(n, "progressive")]
+    root = QuadScalar.of(0, 1)
+    yield [], SHIFT
+    for m in maps:
+        fam = standard_frame(m)
+        yield fam, m
+        yield fam[:1], m
+        yield scaled_member(fam), m
+        yield spread_member(fam), m
+        yield [fam[0].scale(QuadScalar.of(-1))] + fam[1:], m
+    for m1 in maps[:4]:
+        for m2 in maps[-3:]:
+            fam = refine_frame(standard_frame(m1), m1, standard_frame(m2), m2)
+            yield fam, m1.compose(m2)
+            yield fam, m2.compose(m1)
+    yield [CylinderFunction.one().scale(root)], SHIFT
+    yield [f.scale(root) for f in basis(2)], SHIFT
+    yield [f.scale(root) for f in basis(3)], LED
+    yield standard_frame(LED), SHIFT
+    yield standard_frame(SHIFT), LED
+    yield standard_frame(SHIFT), WindowMap(2, 0b0011)
+    yield [CylinderFunction.from_values(2, [1, 1, 1, 1])] * 2, SHIFT
+    sets = ["00,11", "01,10", "00,01", "10,11"]
+    words = [[int(w, 2) for w in s.split(",")] for s in sets]
+    yield [CylinderFunction.from_values(2, [int(v in ws) for v in range(4)]) for ws in words], SHIFT
+
+
+def frame_outcome(fn, frame, m):
+    try:
+        return fn(frame, m)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_verify_frame_accepts_and_rejects_alike():
+    accepted = rejected = 0
+    for frame, m in frame_cases():
+        got = frame_outcome(verify_frame, frame, m)
+        assert got == frame_outcome(dense_verify_frame, frame, m), (frame, m)
+        accepted += got is None
+        rejected += got is not None
+    assert accepted > 20 and rejected > 20
+
+
+T = Gf2Poly.parse("t")
+ONE_T = Gf2Poly.parse("1+t")
+RANK1 = DynamicalSystem.from_polys([T], ["s"])
+COPRIME = DynamicalSystem.from_polys([T, ONE_T], ["s", "u"])
+MIXED = DynamicalSystem.from_polys([T, Gf2Poly.parse("1+t+t^2")], ["s", "c"])
+
+
+def chi(text):
+    return CylinderFunction.indicator(Word.from_str(text))
+
+
+DEFECT_CASES = [
+    (RANK1, (1,), (1,), 4, chi("1"), chi("11")),
+    (RANK1, (2,), (2,), 4, None, None),
+    (RANK1, (1,), (2,), 3, None, None),
+    (RANK1, (1,), (2,), 3, chi("0"), None),
+    (RANK1, (1,), (2,), 4, None, chi("101")),
+    (RANK1, (1,), (3,), 4, None, None),
+    (RANK1, (2,), (3,), 4, None, None),
+    (RANK1, (0,), (2,), 3, None, None),
+    (COPRIME, (1, 0), (0, 1), 3, None, None),
+    (COPRIME, (2, 1), (0, 3), 4, chi("01"), chi("1")),
+    (MIXED, (1, 0), (0, 1), 4, None, None),
+    (MIXED, (0, 1), (2, 0), 5, chi("1").scale(QuadScalar.of(0, 1)), chi("0110")),
+]
+
+
+@pytest.mark.parametrize("case", DEFECT_CASES)
+def test_expectation_defect_matches_dense(case):
+    sys_, p, q, level, f, g = case
+    p, q = MonoidElement(p), MonoidElement(q)
+    new = expectation_defect(sys_, p, q, level, f=f, g=g)
+    old = dense_expectation_defect(sys_, p, q, level, f=f, g=g)
+    assert new.to_json_dict() == old.to_json_dict()
+    assert new.diagonal == old.diagonal
+
+
+BUMP_CASES = [
+    (COPRIME, (1, 0), (0, 1), "1:0"),
+    (COPRIME, (1, 0), (0, 1), "0001:0"),
+    (COPRIME, (2, 0), (0, 1), "01:1"),
+    (COPRIME, (1, 1), (0, 2), ":011"),
+    (MIXED, (1, 0), (0, 1), "1:0"),
+    (MIXED, (0, 1), (1, 0), "110:01"),
+    (RANK1, (1,), (2,), "1:0"),
+    (COPRIME, (1, 0), (1, 0), "1:0"),
+]
+
+
+@pytest.mark.parametrize("case", BUMP_CASES)
+def test_annihilating_bump_matches_dense(case):
+    sys_, p, q, x = case
+    args = (sys_, MonoidElement(p), MonoidElement(q), PeriodicSeq.parse(x))
+    assert outcome(annihilating_bump, *args) == outcome(dense_annihilating_bump, *args)
+
+
+def test_fast_path_builds_no_dense_operator(monkeypatch):
+    """The relation suite, defects and bumps never form a dense matrix."""
+
+    def refuse(self):
+        raise AssertionError("a dense LevelOperator was built")
+
+    monkeypatch.setattr(LevelOperator, "__post_init__", refuse)
+    report = verify_relations(system(("t", "1+t", "1+t+t^2")), 10)
+    assert all(report.relations.values())
+    for sys_, p, q, level, f, g in DEFECT_CASES:
+        expectation_defect(sys_, MonoidElement(p), MonoidElement(q), level, f=f, g=g)
+    for sys_, p, q, x in BUMP_CASES[:-2]:
+        annihilating_bump(sys_, MonoidElement(p), MonoidElement(q), PeriodicSeq.parse(x))

@@ -10,6 +10,7 @@ from starshift import (
     Gf2Poly,
     InvalidSystem,
     LevelOperator,
+    LevelTooLarge,
     LevelTooSmall,
     MonoidElement,
     NoSeparation,
@@ -260,6 +261,23 @@ class TestVerifyRelations:
             verify_relations(sys, 1)
         with pytest.raises(InvalidSystem):
             verify_relations(DynamicalSystem.from_polys([], []), 4)
+
+    def test_level_budget_refuses_before_any_table(self, monkeypatch):
+        import starshift.dictionary as dictionary
+
+        def refuse(m, length):
+            raise AssertionError("an image table was built")
+
+        monkeypatch.setattr(dictionary, "_image_table", refuse)
+        sys = DynamicalSystem.from_polys([T, ONE_T], ["sigma", "theta"])
+        with pytest.raises(LevelTooLarge) as info:
+            verify_relations(sys, 60)
+        assert info.value.entries == 1 << 61
+        assert "2^61" in str(info.value)
+        wide = DynamicalSystem.from_polys([T, LED_POLY], ["s", "c"])
+        with pytest.raises(LevelTooLarge) as info:
+            verify_relations(wide, 23)
+        assert info.value.entries == 1 << 25
 
     def test_deterministic(self):
         sys = DynamicalSystem.from_polys([T, T + T * T], ["sigma", "theta"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _kernel_walk
 from .words import PeriodicSeq, Word
 
 
@@ -303,32 +303,12 @@ def enumerate_dictionaries(n: int, filter: str, max_n: int = DEFAULT_WINDOW_LIMI
 def kernel_elements(d: Dictionary) -> list:
     """All sequences mapped to zero by a progressive dictionary's map.
 
-    Each kernel element is determined by its first n-1 symbols; the forced
-    continuation is followed until the (n-1)-symbol state repeats, which
-    happens within 2^(n-1) + n steps.
+    Each kernel element is determined by its first n-1 symbols, and the
+    rule's completion to 0 gives the next symbol, so the kernel is one
+    walk over the 2^(n-1) states of that completion.
     """
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))
-    n = d.window
-    horizon = (1 << (n - 1)) + n
-    out = []
-    for seed in range(1 << (n - 1)):
-        bits = [(seed >> (n - 2 - i)) & 1 for i in range(n - 1)]
-        seen = {}
-        state = seed
-        i = 0
-        while state not in seen:
-            if i > horizon:
-                raise AssertionError("state repetition missed its bound")
-            seen[state] = i
-            nxt = m.completion(state, 0)
-            bits.append(nxt)
-            state = ((state << 1) & ((1 << (n - 1)) - 1)) | nxt
-            i += 1
-        start = seen[state]
-        out.append(
-            PeriodicSeq.from_parts(Word.from_bits(bits[:start]), Word.from_bits(bits[start:i]))
-        )
-    out.sort(key=lambda s: s.sort_key())
-    return out
+    width = d.window - 1
+    return _kernel_walk(width, [m.completion(state, 0) for state in range(1 << width)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import PeriodicSeq, Word
+from .words import PeriodicSeq
 
 
 class ZeroPolynomial(ValueError):
@@ -178,43 +178,61 @@ def poly_factor(a: Gf2Poly) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def recurrence_kernel(a: Gf2Poly, horizon: int | None = None) -> list:
+def _kernel_walk(width: int, next_bit) -> list:
+    """The sequences of a progressive rule on `width`-bit states, sorted.
+
+    A state holds the last `width` symbols, oldest at the top bit, and
+    `next_bit[state]` is the symbol that follows.  The sequence from a
+    state is its top bit followed by the sequence from its successor, so
+    one pass over the functional graph gives every element: a cycle's
+    period is the string of its states' top bits, rotated to each state,
+    and a tail state puts its top bit in front of its successor's
+    preperiod.  States on a cycle are distinct, so the cycle length is
+    the primitive period and the distance to the cycle is the minimal
+    preperiod: every element is already in normal form.
+    """
+    mask = (1 << width) - 1
+    top = width - 1
+    parts = [None] * (1 << width)  # (pre_len, pre_bits, per_len, per_bits)
+    for seed in range(1 << width):
+        path = []
+        on_path = {}
+        state = seed
+        while parts[state] is None and state not in on_path:
+            on_path[state] = len(path)
+            path.append(state)
+            state = ((state << 1) & mask) | next_bit[state]
+        if parts[state] is None:
+            cycle = path[on_path[state] :]
+            del path[on_path[state] :]
+            length = len(cycle)
+            ring = (1 << length) - 1
+            string = 0
+            for s in cycle:
+                string = (string << 1) | (s >> top)
+            for i, s in enumerate(cycle):
+                parts[s] = (0, 0, length, ((string << i) | (string >> (length - i))) & ring)
+        for s in reversed(path):
+            pre_len, pre_bits, per_len, per_bits = parts[((s << 1) & mask) | next_bit[s]]
+            parts[s] = (pre_len + 1, ((s >> top) << pre_len) | pre_bits, per_len, per_bits)
+    out = [PeriodicSeq(*p) for p in parts]
+    out.sort(key=lambda s: s.sort_key())
+    return out
+
+
+def recurrence_kernel(a: Gf2Poly) -> list:
     """All sequences annihilated by a(shift), sorted deterministically.
 
     The kernel of a degree-d polynomial is parametrized by the first d
-    symbols; each solution is generated until its d-symbol state repeats,
-    which happens within 2^d + d steps, so the default horizon always
-    suffices and smaller requested horizons are raised to that bound.
+    symbols, and x_{k+d} is the parity of the d symbols before it under
+    the low coefficients of a, so the kernel is one walk over the 2^d
+    states of that rule.
     """
     if a.is_zero:
         raise ZeroPolynomial("the zero polynomial has full kernel")
     d = a.degree
-    if horizon is not None and horizon < d:
-        raise ValueError("horizon smaller than the recurrence degree")
     if d == 0:
         return [PeriodicSeq.zero()]
-    steps = max(horizon or 0, (1 << d) + d)
-    low = a.bits & ((1 << d) - 1)
-    out = []
-    for seed in range(1 << d):
-        bits = [(seed >> (d - 1 - i)) & 1 for i in range(d)]
-        seen = {}
-        state = seed
-        i = 0
-        while state not in seen and i <= steps:
-            seen[state] = i
-            # x_{k+d} = sum of a_j x_{k+j}, j < d, taken mod 2.
-            window = bits[i : i + d]
-            nxt = 0
-            for j in range(d):
-                if (low >> j) & 1:
-                    nxt ^= window[j]
-            bits.append(nxt)
-            state = ((state << 1) & ((1 << d) - 1)) | nxt
-            i += 1
-        start = seen[state]
-        out.append(
-            PeriodicSeq.from_parts(Word.from_bits(bits[:start]), Word.from_bits(bits[start:i]))
-        )
-    out.sort(key=lambda s: s.sort_key())
-    return out
+    # State bit d-1-j holds x_{k+j}, so the taps are the low bits reversed.
+    taps = int(format(a.bits & ((1 << d) - 1), "0%db" % d)[::-1], 2)
+    return _kernel_walk(d, [(state & taps).bit_count() & 1 for state in range(1 << d)])

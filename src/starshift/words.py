@@ -77,20 +77,17 @@ def _tile(bits: int, width: int, total: int) -> int:
     if width <= 0:
         raise ValueError("period width must be positive")
     reps = -(-total // width)
-    value = 0
-    for _ in range(reps):
-        value = (value << width) | bits
+    # The repunit (2^(reps*width) - 1) / (2^width - 1) has a 1 every width bits.
+    value = bits * (((1 << (reps * width)) - 1) // ((1 << width) - 1))
     return value >> (reps * width - total)
 
 
 def _normalize(pre_len, pre_bits, per_len, per_bits):
-    # Reduce the period to its primitive root.
-    for d in range(1, per_len):
-        if per_len % d == 0:
-            head = per_bits >> (per_len - d)
-            if _tile(head, d, per_len) == per_bits:
-                per_len, per_bits = d, head
-                break
+    # Reduce the period to its primitive root, whose length is the least
+    # rotation that fixes the period.
+    text = format(per_bits, "0%db" % per_len)
+    root = (text + text).find(text, 1)
+    per_len, per_bits = root, per_bits >> (per_len - root)
     # Absorb preperiod symbols that already agree with the periodic tail.
     while pre_len > 0 and (pre_bits & 1) == (per_bits & 1):
         per_bits = ((per_bits & 1) << (per_len - 1)) | (per_bits >> 1)

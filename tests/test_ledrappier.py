@@ -33,6 +33,7 @@ class TestConjugateVertical:
         assert str(conjugate_vertical(Word.from_str("1101"))) == "011"
 
     def test_three_routes_agree(self):
+        """The integer step against the bitwise and dictionary oracles."""
         for length in range(2, 13):
             for w in all_words(length):
                 direct = conjugate_vertical(w)
@@ -59,7 +60,7 @@ class TestCompletePatch:
                 assert len(patch.rows) == length
                 assert [r.length for r in patch.rows] == list(range(length, 0, -1))
                 for upper, lower in zip(patch.rows[1:], patch.rows):
-                    assert upper == conjugate_vertical(lower)
+                    assert upper == adjacent_xor(lower)
 
     def test_rejects_empty_base(self):
         with pytest.raises(WordTooShort):

@@ -42,6 +42,36 @@ def star_oracle(size, f, g):
     return True
 
 
+def injective_on_fibers(size, a, b):
+    """b separates the points of every a-fiber."""
+    for x in range(size):
+        fiber = [y for y in range(size) if a[y] == x]
+        if len({b[y] for y in fiber}) != len(fiber):
+            return False
+    return True
+
+
+def bijective_between_fibers(size, a, b):
+    """a maps each b-fiber bijectively onto the b-fiber of its image."""
+    for x in range(size):
+        dom = [y for y in range(size) if b[y] == x]
+        cod = {y for y in range(size) if b[y] == a[x]}
+        image = {a[y] for y in dom}
+        if len(image) != len(dom) or image != cod:
+            return False
+    return True
+
+
+def check_fiber_conditions(size, f, g, star):
+    """*-commutation is bijectivity between the fibers of either map, for
+    any commuting pair; it implies injectivity on the fibers of either
+    map, but not conversely (see test_fiber_injectivity_alone_is_weaker)."""
+    assert bijective_between_fibers(size, f, g) == star
+    assert bijective_between_fibers(size, g, f) == star
+    if star:
+        assert injective_on_fibers(size, f, g) and injective_on_fibers(size, g, f)
+
+
 def commuting_pairs(size):
     maps = list(itertools.product(range(size), repeat=size))
     for f in maps:
@@ -103,6 +133,7 @@ class TestFiniteStar:
             for f, g in commuting_pairs(size):
                 decision = star_commute_finite(FiniteMapPair(size, f, g))
                 assert decision.star == star_oracle(size, f, g)
+                check_fiber_conditions(size, f, g, decision.star)
                 checked += 1
             assert checked > 0
 
@@ -123,7 +154,9 @@ class TestFiniteStar:
                 if any(f[g[x]] != g[f[x]] for x in range(size)):
                     continue
             pair = FiniteMapPair(size, f, g)
-            assert star_commute_finite(pair).star == star_oracle(size, f, g)
+            star = star_commute_finite(pair).star
+            assert star == star_oracle(size, f, g)
+            check_fiber_conditions(size, f, g, star)
             cases += 1
 
     def test_fiber_injectivity_alone_is_weaker(self):
@@ -132,10 +165,7 @@ class TestFiniteStar:
         of the other map, yet one diagram has no completion at all."""
         f, g = (0, 0, 2), (0, 1, 0)
         pair = FiniteMapPair(3, f, g)
-        for a, b in ((f, g), (g, f)):
-            for x in range(3):
-                fiber = [y for y in range(3) if a[y] == x]
-                assert len({b[y] for y in fiber}) == len(fiber)
+        assert injective_on_fibers(3, f, g) and injective_on_fibers(3, g, f)
         decision = star_commute_finite(pair)
         assert not decision.star
         x1, x2, count = decision.witness
@@ -363,6 +393,7 @@ class TestTopologicalFreeness:
         result = is_topologically_free(sys2)
         assert not result.free
         p, q = result.witness
+        assert p != q
         assert sys2.poly_of(p) == sys2.poly_of(q)
 
     def test_freeness_matches_polynomial_injectivity_small(self):
@@ -385,7 +416,11 @@ class TestTopologicalFreeness:
                     collision = True
                     break
                 seen[value] = exps
-            assert is_topologically_free(sys_n).free == (not collision)
+            result = is_topologically_free(sys_n)
+            assert result.free == (not collision)
+            if not result.free:
+                p, q = result.witness
+                assert p != q and sys_n.poly_of(p) == sys_n.poly_of(q)
 
 
 class TestCertificate:

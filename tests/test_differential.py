@@ -127,7 +127,7 @@ TAMPER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("gen, where, swap, fails", TAMPER_CASES, ids=str)
+@pytest.mark.parametrize("gen, where, swap, fails", TAMPER_CASES)
 @pytest.mark.parametrize("polys", [("t", "1+t"), ("t", "t+t^2"), ("t", "1+t", "1+t+t^2")], ids="_".join)
 def test_tampered_tables_fail_alike(monkeypatch, polys, gen, where, swap, fails):
     """The top table feeds I, II and III; the level table feeds III, IV and the matrix units."""

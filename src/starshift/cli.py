@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -258,6 +259,8 @@ def _render_ledrappier(payload: dict) -> None:
     print("routes agree: %s" % _yesno(payload["routes_agree"]))
 
 
+# Parsing leaves the parser unchanged, so one parser serves every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starshift",

@@ -28,6 +28,10 @@ class NotAFrame(ValueError):
     """The family fails the Parseval frame conditions for its map."""
 
 
+class NumeratorOverflow(ValueError, OverflowError):
+    """Exact numerators grew too large for the int64 arithmetic."""
+
+
 _SQRT2 = "√2"
 
 
@@ -125,7 +129,7 @@ def _guard(*arrays):
     # Keep numerators far from the int64 edge before forming products.
     for arr in arrays:
         if arr.size and int(np.abs(arr).max()) >= 1 << 30:
-            raise OverflowError("cylinder numerators grew unexpectedly large")
+            raise NumeratorOverflow("cylinder numerators grew unexpectedly large")
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +353,7 @@ def _frame_gram(frame, level: int, den: int):
     b = np.stack([f.num_b * (den // f.den) for f in lifted])
     top = int(max(np.abs(a).max(), np.abs(b).max()))
     if 3 * len(frame) * top * top >= 1 << 62:
-        raise OverflowError("frame numerators grew unexpectedly large")
+        raise NumeratorOverflow("frame numerators grew unexpectedly large")
     return a.T @ a + 2 * (b.T @ b), a.T @ b + b.T @ a
 
 

@@ -79,41 +79,96 @@ class Dictionary:
         return ",".join(str(w) for w in self.words())
 
 
+def _linear_table(window: int, coeffs: int) -> int:
+    """The truth table of v -> parity of the window symbols under `coeffs`.
+
+    Symbol i of a window, the coefficient of t^i, is bit window-1-i of v.
+    The table over the low j+1 bits is the table over the low j bits
+    followed by itself, complemented when bit j is read, so the 2^window
+    entries take `window` big-integer doublings.
+    """
+    table = 0
+    for j in range(window):
+        size = 1 << j
+        high = table ^ ((1 << size) - 1) if (coeffs >> (window - 1 - j)) & 1 else table
+        table |= high << size
+    return table
+
+
 def _linear_poly(window: int, rule: int) -> Gf2Poly | None:
-    """The polynomial of a linear rule, or None if the rule is not linear."""
-    if rule & 1:
-        return None
+    """The polynomial of a linear rule, or None if the rule is not linear.
+
+    A linear rule is fixed by its values on the unit vectors, so the
+    candidate coefficients are those bits of the rule, and the rule is
+    linear exactly when the candidate's table is the rule.
+    """
     coeffs = 0
     for i in range(window):
-        if (rule >> (1 << (window - 1 - i))) & 1:
-            coeffs |= 1 << i
-    for v in range(1 << window):
-        parity = 0
-        for i in range(window):
-            if (coeffs >> i) & 1:
-                parity ^= (v >> (window - 1 - i)) & 1
-        if parity != (rule >> v) & 1:
-            return None
-    return Gf2Poly(coeffs)
+        coeffs |= ((rule >> (1 << (window - 1 - i))) & 1) << i
+    return Gf2Poly(coeffs) if _linear_table(window, coeffs) == rule else None
 
 
-@dataclass(frozen=True)
+def _rule_bits(m: "WindowMap") -> np.ndarray:
+    """The rule of m as an array of 2^window bits, entry v the value at v."""
+    size = 1 << m.window
+    raw = np.frombuffer(m.rule.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
 class WindowMap:
-    """A sliding-window map given by its window and local rule truth table."""
+    """A sliding-window map given by its window and local rule truth table.
 
-    window: int
-    rule: int
-    linear_poly: Gf2Poly | None = None
+    A linear map is held as its polynomial, and its 2^window-bit table is
+    built only when `rule` is read.  Maps compare and hash by window,
+    polynomial and, for a map declared without a polynomial, rule: the
+    table of a map with a polynomial is fixed by the two others.
+    """
 
-    def __post_init__(self):
-        if self.window < 1:
+    __slots__ = ("window", "linear_poly", "_rule")
+
+    def __init__(self, window: int, rule: int | None = None, linear_poly: Gf2Poly | None = None):
+        if window < 1:
             raise ValueError("window must be at least 1")
-        if self.rule < 0 or self.rule >> (1 << self.window):
-            raise ValueError("rule table out of range")
-        if self.linear_poly is not None:
-            p = _linear_poly(self.window, self.rule)
-            if p != self.linear_poly:
+        if rule is None:
+            if linear_poly is None:
+                raise ValueError("a window map needs a rule or a polynomial")
+            if linear_poly.bits >> window:
+                raise ValueError("window too small for the polynomial")
+        else:
+            if rule < 0 or rule >> (1 << window):
+                raise ValueError("rule table out of range")
+            if linear_poly is not None and (
+                linear_poly.bits >> window or _linear_table(window, linear_poly.bits) != rule
+            ):
                 raise ValueError("declared polynomial does not match the rule")
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "linear_poly", linear_poly)
+        object.__setattr__(self, "_rule", rule)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WindowMap is immutable")
+
+    def _key(self) -> tuple:
+        return (self.window, self.linear_poly, self._rule if self.linear_poly is None else None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        if self.linear_poly is None:
+            return "WindowMap(window=%d, rule=%d)" % (self.window, self._rule)
+        return "WindowMap(window=%d, linear_poly=%r)" % (self.window, self.linear_poly)
+
+    @property
+    def rule(self) -> int:
+        if self._rule is None:
+            object.__setattr__(self, "_rule", _linear_table(self.window, self.linear_poly.bits))
+        return self._rule
 
     @classmethod
     def shift(cls) -> "WindowMap":
@@ -123,16 +178,7 @@ class WindowMap:
     def from_poly(cls, poly: Gf2Poly, window: int | None = None) -> "WindowMap":
         """The linear map x -> poly(shift) x with minimal window by default."""
         n = window if window is not None else (1 if poly.is_zero else poly.degree + 1)
-        if not poly.is_zero and poly.degree > n - 1:
-            raise ValueError("window too small for the polynomial")
-        rule = 0
-        for v in range(1 << n):
-            parity = 0
-            for i in range(n):
-                if poly.coeff(i):
-                    parity ^= (v >> (n - 1 - i)) & 1
-            rule |= parity << v
-        return cls(n, rule, poly)
+        return cls(n, None, poly)
 
     @classmethod
     def from_dictionary(cls, d: Dictionary) -> "WindowMap":
@@ -143,11 +189,14 @@ class WindowMap:
 
     @property
     def is_progressive(self) -> bool:
-        """Every (n-1)-prefix has exactly one completion with rule value 1."""
-        for a in range(1 << (self.window - 1)):
-            if self.rule_bit(a << 1) == self.rule_bit((a << 1) | 1):
-                return False
-        return True
+        """Every (n-1)-prefix has exactly one completion with rule value 1.
+
+        The completions of prefix a are the table bits 2a and 2a+1, so the
+        rule is progressive when the table differs from its shift by one
+        at every even bit.
+        """
+        evens = ((1 << (1 << self.window)) - 1) // 3
+        return ((self.rule ^ (self.rule >> 1)) & evens) == evens
 
     @property
     def fiber_count(self) -> int:
@@ -169,16 +218,16 @@ class WindowMap:
         return PeriodicSeq.from_parts(out.prefix(m), Word(l, out.bits & ((1 << l) - 1)))
 
     def compose(self, other: "WindowMap") -> "WindowMap":
-        """The map self after other, with the combined window."""
+        """The map self after other, with the combined window.
+
+        Linear maps compose by multiplying their polynomials; otherwise
+        the outer rule is read at every inner image of a window.
+        """
         n = self.window + other.window - 1
-        inner = _image_table(other, n)
-        rule = 0
-        for v in range(1 << n):
-            rule |= self.rule_bit(int(inner[v])) << v
-        poly = None
         if self.linear_poly is not None and other.linear_poly is not None:
-            poly = self.linear_poly * other.linear_poly
-        return WindowMap(n, rule, poly)
+            return WindowMap(n, None, self.linear_poly * other.linear_poly)
+        bits = _rule_bits(self)[_image_table(other, n)]
+        return WindowMap(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
 
     def image_table(self, length: int) -> np.ndarray:
         """Integer encodings of images of all words of the given length."""
@@ -203,16 +252,29 @@ def apply_window_map(m, w: Word) -> Word:
 # table of the process alive.
 @functools.lru_cache(maxsize=128)
 def _image_table(m: WindowMap, length: int) -> np.ndarray:
+    """Images of all words of the given length.
+
+    Output bit width-1-j reads the window at position j.  For a linear map
+    the coefficient of t^i adds symbol j+i, which sits n-1-i bits above
+    that output bit, so the table is one shifted copy of the words per
+    nonzero coefficient; other rules are looked up once per position.
+    """
     n = m.window
     if length < n - 1:
         raise WordTooShort("length %d under window %d" % (length, n))
     width = length - n + 1
     values = np.arange(1 << length, dtype=np.int64)
-    rule = np.array([(m.rule >> v) & 1 for v in range(1 << n)], dtype=np.int64)
     out = np.zeros(1 << length, dtype=np.int64)
-    mask = (1 << n) - 1
-    for j in range(width):
-        out |= rule[(values >> (length - n - j)) & mask] << (width - 1 - j)
+    if m.linear_poly is not None:
+        for i in range(n):
+            if m.linear_poly.coeff(i):
+                out ^= values >> (n - 1 - i)
+        out &= (1 << width) - 1
+    else:
+        rule = _rule_bits(m).astype(np.int64)
+        mask = (1 << n) - 1
+        for j in range(width):
+            out |= rule[(values >> (length - n - j)) & mask] << (width - 1 - j)
     out.setflags(write=False)
     return out
 
@@ -242,19 +304,21 @@ class ClassificationRecord:
 
 
 def classify_dictionary(d: Dictionary) -> ClassificationRecord:
-    """Decide progressiveness, admissibility and linearity of a dictionary."""
-    n = d.window
-    m = WindowMap(n, d.members)
+    """Decide progressiveness, admissibility and linearity of a dictionary.
+
+    A progressive dictionary leaves 2^(n-1) words out, so its complement
+    is closed under sums exactly when it is an index-2 subgroup, the
+    kernel of a nonzero linear functional: admissible is progressive and
+    linear.
+    """
+    m = d.to_window_map()
     progressive = m.is_progressive
-    complement = [v for v in range(1 << n) if not (d.members >> v) & 1]
-    closed = all(not (d.members >> (x ^ y)) & 1 for x in complement for y in complement)
-    admissible = progressive and closed
-    poly = _linear_poly(n, d.members)
+    poly = m.linear_poly
     return ClassificationRecord(
-        window=n,
+        window=d.window,
         members=str(d),
         progressive=progressive,
-        admissible=admissible,
+        admissible=progressive and poly is not None,
         linear=poly is not None,
         polynomial=poly,
         fiber_count=m.fiber_count if progressive else None,
@@ -275,29 +339,23 @@ def progressive_mask(n: int, choice: int) -> int:
 def enumerate_dictionaries(n: int, filter: str, max_n: int = DEFAULT_WINDOW_LIMIT):
     """Yield dictionaries of window n passing the filter, ascending by mask.
 
-    All filters imply progressive, so candidates are generated from the
-    2^(2^(n-1)) completion choices rather than all 2^(2^n) subsets.
+    Progressive dictionaries are generated from the 2^(2^(n-1)) completion
+    choices rather than all 2^(2^n) subsets.  The admissible ones are the
+    linear rules of the 2^(n-1) polynomials of degree n-1, and such a rule
+    *-commutes with the shift exactly when its constant term is 1.
     """
     if filter not in FILTERS:
         raise ValueError("unknown filter %r" % filter)
     if n < 2 or n > max_n:
         raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
-    masks = sorted(progressive_mask(n, c) for c in range(1 << (1 << (n - 1))))
+    top = 1 << (n - 1)
+    if filter == "progressive":
+        masks = sorted(progressive_mask(n, c) for c in range(1 << top))
+    else:
+        lows = range(top) if filter == "admissible" else range(1, top, 2)
+        masks = sorted(WindowMap.from_poly(Gf2Poly(top | low)).rule for low in lows)
     for mask in masks:
-        d = Dictionary(n, mask)
-        if filter == "progressive":
-            yield d
-            continue
-        record = classify_dictionary(d)
-        if not record.admissible:
-            continue
-        if filter == "admissible":
-            yield d
-            continue
-        from .starcomm import star_commutes_on_kernel
-
-        if star_commutes_on_kernel(Gf2Poly.t(), record.polynomial):
-            yield d
+        yield Dictionary(n, mask)
 
 
 def kernel_elements(d: Dictionary) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, NotProgressive, WordTooShort, apply_window_map, classify_dictionary
+from .dictionary import Dictionary, NotProgressive, WordTooShort, apply_window_map
 from .words import Word
 
 LEDRAPPIER = Dictionary.from_text("01,10")
@@ -83,7 +83,7 @@ def conjugate_vertical(base: Word) -> Word:
 
 def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
     """Rows 0..steps of the orbit of a base row under a progressive map."""
-    if not classify_dictionary(d).progressive:
+    if not d.to_window_map().is_progressive:
         raise NotProgressive(str(d))
     if base.length < steps * (d.window - 1) + 1:
         raise WordTooShort("base too short for %d steps" % steps)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .cylinder import (
     CylinderFunction,
+    NumeratorOverflow,
     QuadScalar,
     _fiber_gram,
     _frame_gram,
@@ -77,7 +78,7 @@ def _reduced(a, b, den):
 def _guard(*arrays):
     for arr in arrays:
         if arr.size and int(np.abs(arr).max()) >= 1 << 24:
-            raise OverflowError("matrix numerators grew unexpectedly large")
+            raise NumeratorOverflow("matrix numerators grew unexpectedly large")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,13 +3,22 @@
 import functools
 import importlib.resources as resources
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from starshift import Gf2Poly, classify_dictionary, enumerate_dictionaries, star_commutes_on_kernel
+import starshift
+from starshift import (
+    CylinderFunction,
+    Gf2Poly,
+    classify_dictionary,
+    enumerate_dictionaries,
+    star_commutes_on_kernel,
+)
 from starshift.cli import _classification_payload, build_parser, main
 
 SCHEMA = json.loads(
@@ -280,6 +289,47 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["classify", "2", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys):
+        calls = (
+            ["classify", "3", "--json"],
+            ["kernel", "--poly", "1+t^2"],
+            ["classify", "2", "--frobnicate"],
+            ["analyze", "01,10", "--json"],
+            ["kernel", "--dict", "00,11", "--json"],
+            ["certify", "t", "t+t^2"],
+            ["verify", "t", "1+t", "--level", "5", "--json"],
+            ["ledrappier", "1101", "--steps", "2"],
+            ["classify", "9"],
+            [],
+            ["classify", "4"],
+        )
+        src = os.path.dirname(os.path.dirname(starshift.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "starshift.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+class TestTypedErrors:
+    def test_numerator_overflow_exits_2(self, capsys, monkeypatch):
+        from starshift import matrixmodel
+
+        big = CylinderFunction.from_values(1, [1 << 31, 1])
+        monkeypatch.setattr(matrixmodel, "standard_frame", lambda m: [big])
+        code, out, err = run(capsys, ["verify", "t", "1+t", "--level", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: frame numerators grew unexpectedly large\n"
 
 
 class TestConsoleScript:

@@ -11,6 +11,7 @@ from starshift import (
     NonCommutingMaps,
     NotAFrame,
     NotProgressive,
+    NumeratorOverflow,
     QuadScalar,
     Word,
     WindowMap,
@@ -484,3 +485,22 @@ class TestOperatorCommute:
         decision = CommuteDecision(True, 4, None)
         with pytest.raises(Exception):
             decision.commute = False
+
+
+class TestNumeratorOverflow:
+    """No CLI input grows numerators this far, so the guards are driven directly."""
+
+    BIG = CylinderFunction.from_values(1, [1 << 31, 1])
+
+    def test_is_a_value_error_and_an_overflow_error(self):
+        assert issubclass(NumeratorOverflow, ValueError)
+        assert issubclass(NumeratorOverflow, OverflowError)
+
+    def test_arithmetic_guard(self):
+        for op in (lambda f: f * f, lambda f: f + f, lambda f: transfer(SHIFT, f)):
+            with pytest.raises(NumeratorOverflow, match="^cylinder numerators grew"):
+                op(self.BIG)
+
+    def test_frame_gram_guard(self):
+        with pytest.raises(NumeratorOverflow, match="^frame numerators grew"):
+            verify_frame([self.BIG], SHIFT)

@@ -5,6 +5,8 @@ import pytest
 from starshift import (
     BASIC_BLOCKS,
     LEDRAPPIER,
+    Dictionary,
+    NotProgressive,
     TrianglePatch,
     Word,
     WordTooShort,
@@ -117,6 +119,15 @@ class TestStackOrbit:
     def test_too_many_steps(self):
         with pytest.raises(WordTooShort):
             stack_orbit(LEDRAPPIER, Word.from_str("1101"), 4)
+
+    def test_not_progressive_names_the_dictionary(self):
+        with pytest.raises(NotProgressive, match="^01,10,11$"):
+            stack_orbit(Dictionary.from_text("01,10,11"), Word.from_str("1101"), 1)
+
+    def test_nonlinear_progressive_dictionary(self):
+        # 00,11 marks equal neighbours: the complement of the pair sums
+        rows = stack_orbit(Dictionary.from_text("00,11"), Word.from_str("1101"), 2)
+        assert [str(r) for r in rows] == ["1101", "100", "01"]
 
 
 class TestTrianglePatch:

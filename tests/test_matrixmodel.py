@@ -14,6 +14,7 @@ from starshift import (
     LevelTooSmall,
     MonoidElement,
     NoSeparation,
+    NumeratorOverflow,
     PeriodicSeq,
     QuadScalar,
     Word,
@@ -64,6 +65,12 @@ class TestLevelOperator:
                 assert ident.entry(row, col) == expected
         assert ident.diagonal() == CylinderFunction.one().embed(2)
         assert LevelOperator.identity(1).to_text() == "1 1 1; 1 0 0 1"
+
+    def test_numerator_guard(self):
+        big = LevelOperator.from_cylinder(CylinderFunction.from_values(0, [1 << 25]), 0)
+        for op in (lambda m: m @ m, lambda m: m + m):
+            with pytest.raises(NumeratorOverflow, match="^matrix numerators grew"):
+                op(big)
 
     def test_from_cylinder_is_diagonal(self):
         f = chi("01")

@@ -328,18 +328,18 @@ def standard_frame(m: WindowMap) -> list:
     ]
 
 
-def _join(left: np.ndarray, right: np.ndarray):
-    """All index pairs (i, j) with left[i] == right[j], grouped by value."""
-    size = int(max(left.max(initial=0), right.max(initial=0))) + 1
-    lcount = np.bincount(left, minlength=size)
-    rcount = np.bincount(right, minlength=size)
-    per = lcount * rcount
-    value = np.repeat(np.arange(size), per)
-    offset = np.arange(value.size) - np.repeat(np.cumsum(per) - per, per)
-    width = rcount[value]
-    li = np.argsort(left, kind="stable")[(np.cumsum(lcount) - lcount)[value] + offset // width]
-    ri = np.argsort(right, kind="stable")[(np.cumsum(rcount) - rcount)[value] + offset % width]
-    return li, ri
+def _fibers(m: WindowMap, level: int) -> np.ndarray:
+    """The level words by image: row x lists the words that m sends to x, ascending.
+
+    Read off the image table, so every image word must have exactly
+    m.fiber_count preimages, as it does for every progressive map.
+    """
+    return np.argsort(m.image_table(level), kind="stable").reshape(-1, m.fiber_count)
+
+
+def _pairs(left: np.ndarray, right: np.ndarray):
+    """Every (left[x, a], right[x, b]) over the rows x, grouped by row."""
+    return np.repeat(left, right.shape[1], axis=1).ravel(), np.tile(right, left.shape[1]).ravel()
 
 
 def _frame_gram(frame, level: int, den: int):
@@ -367,8 +367,8 @@ def _fiber_gram(m: WindowMap, level: int, prefix: int, ga: np.ndarray, gb: np.nd
     so it decides Parseval reconstruction, relation (IV) and frame
     independence.
     """
-    table = m.image_table(level)
-    rows, cols = _join(table, table)
+    fibers = _fibers(m, level)
+    rows, cols = _pairs(fibers, fibers)
     shift = level - prefix
     return rows, cols, ga[rows >> shift, cols >> shift], gb[rows >> shift, cols >> shift]
 
@@ -415,42 +415,3 @@ def refine_frame(frame1, m1: WindowMap, frame2, m2: WindowMap) -> list:
     verify_frame(frame1, m1)
     verify_frame(frame2, m2)
     return [nu1 * alpha(m1, nu2) for nu1 in frame1 for nu2 in frame2]
-
-
-@dataclass(frozen=True)
-class CommuteDecision:
-    commute: bool
-    level: int
-    witness: Word | None
-
-
-def operator_commute_check(m1: WindowMap, m2: WindowMap, level: int) -> CommuteDecision:
-    """Compare transfer(m1) after alpha(m2) with alpha(m2) after transfer(m1).
-
-    Both composites are applied to every level-k basis indicator at once
-    as exact integer matrices; the witness is the first basis function on
-    which they disagree.
-    """
-    from .starcomm import NonCommutingMaps
-
-    if not m1.is_progressive:
-        raise NotProgressive("transfer side must be progressive")
-    if m1.compose(m2).rule != m2.compose(m1).rule:
-        raise NonCommutingMaps("maps do not commute")
-    n1, n2 = m1.window, m2.window
-    if level < max(n1, n2) - 1:
-        raise ValueError("level must be at least max window - 1")
-    k = level
-    mid = k + n2 - 1
-    out = k + n2 - n1
-    img1_mid = m1.image_table(mid)
-    img2_mid = m2.image_table(mid)
-    lhs = np.zeros((1 << out, 1 << k), dtype=np.int64)
-    np.add.at(lhs, (img1_mid, img2_mid), 1)
-    img1_k = m1.image_table(k)
-    img2_out = m2.image_table(out)
-    rhs = (img1_k[None, :] == img2_out[:, None]).astype(np.int64)
-    if np.array_equal(lhs, rhs):
-        return CommuteDecision(True, level, None)
-    col = int(np.nonzero((lhs != rhs).any(axis=0))[0][0])
-    return CommuteDecision(False, level, Word(k, col))

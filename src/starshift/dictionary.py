@@ -180,10 +180,6 @@ class WindowMap:
         n = window if window is not None else (1 if poly.is_zero else poly.degree + 1)
         return cls(n, None, poly)
 
-    @classmethod
-    def from_dictionary(cls, d: Dictionary) -> "WindowMap":
-        return d.to_window_map()
-
     def rule_bit(self, value: int) -> int:
         return (self.rule >> value) & 1
 

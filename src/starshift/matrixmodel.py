@@ -25,9 +25,11 @@ from .cylinder import (
     NumeratorOverflow,
     QuadScalar,
     _fiber_gram,
+    _fibers,
     _frame_gram,
-    _join,
+    _pairs,
     _preimage_table,
+    _reduced,
     alpha,
     refine_frame,
     standard_frame,
@@ -59,20 +61,6 @@ class LevelTooLarge(ValueError):
 
 class NoSeparation(ValueError):
     """The two maps agree on the given point, so no bump can separate them."""
-
-
-def _reduced(a, b, den):
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    g = math.gcd(int(np.gcd.reduce(np.abs(a), axis=None, initial=0)), den)
-    g = math.gcd(int(np.gcd.reduce(np.abs(b), axis=None, initial=0)), g)
-    if g > 1:
-        a, b, den = a // g, b // g, den // g
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b, den
 
 
 def _guard(*arrays):
@@ -425,7 +413,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         for j in range(i + 1, sys.rank):
             mi, mj = sys.generators[i], sys.generators[j]
             di, dj = mi.window - 1, mj.window - 1
-            zs, vs = _join(mj.image_table(k - di + dj), mi.image_table(k))
+            zs, vs = _pairs(_fibers(mj, k - di + dj), _fibers(mi, k))
             found = _count_difference(
                 (mi.image_table(k + dj) << k) | mj.image_table(k + dj), (zs << k) | vs
             )

@@ -73,17 +73,21 @@ def star_commute_finite(pair: FiniteMapPair) -> StarDecision:
     return StarDecision(True, None)
 
 
-def star_commute_windows(m1: WindowMap, m2: WindowMap, depth: int = 4) -> StarDecision:
+# The word length star_commute_windows checks, beyond the two windows.
+STAR_DEPTH = 4
+
+
+def star_commute_windows(m1: WindowMap, m2: WindowMap) -> StarDecision:
     """Word-level *-commutation of two commuting sliding-window maps.
 
     Checks injectivity of m2 on word-level m1-fibers over all words of
-    length n1 + n2 + depth.  For linear maps the default depth is exact
+    length n1 + n2 + STAR_DEPTH.  For linear maps this depth is exact
     (a Bezout argument bounds the needed length by deg1 + deg2 + 6); for
     nonlinear progressive rules this is a semi-decision at fixed depth.
     """
     if m1.compose(m2).rule != m2.compose(m1).rule:
         raise NonCommutingMaps("window rules do not commute")
-    length = m1.window + m2.window + depth
+    length = m1.window + m2.window + STAR_DEPTH
     img1 = m1.image_table(length)
     img2 = m2.image_table(length)
     combined = (img1 << (length - m2.window + 1)) | img2

@@ -6,6 +6,8 @@ operator is an exact dense matrix, every relation is a product of them,
 and every witness is the row-major first nonzero entry of the difference
 of the two sides.  The production code computes the same reports from
 image tables; the differential tests compare the two.
+`operator_commute_check` is relation (III) in function form, on the
+same dense counts.
 
 Two shortcuts keep level 9 affordable and change no answer: products of
 small integer matrices go through float64 BLAS when every partial sum
@@ -16,6 +18,7 @@ sides' numerators directly, building operators only for a witness.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +32,13 @@ from starshift import (
     LevelOperator,
     LevelTooSmall,
     MonoidElement,
+    NonCommutingMaps,
     NoSeparation,
     NotAFrame,
+    NotProgressive,
     PeriodicSeq,
     QuadScalar,
+    WindowMap,
     Word,
     isometry_matrix,
     poly_gcd,
@@ -308,3 +314,40 @@ def dense_verify_frame(frame, m) -> None:
             total = total + nu * cylinder.expectation(m, nu * f)
         if total != f.embed(total.level):
             raise NotAFrame("reconstruction fails on the level-%d basis" % check_level)
+
+
+@dataclass(frozen=True)
+class CommuteDecision:
+    commute: bool
+    level: int
+    witness: Word | None
+
+
+def operator_commute_check(m1: WindowMap, m2: WindowMap, level: int) -> CommuteDecision:
+    """Compare transfer(m1) after alpha(m2) with alpha(m2) after transfer(m1).
+
+    Both composites are applied to every level-k basis indicator at once
+    as exact integer matrices; the witness is the first basis function on
+    which they disagree.
+    """
+    if not m1.is_progressive:
+        raise NotProgressive("transfer side must be progressive")
+    if m1.compose(m2).rule != m2.compose(m1).rule:
+        raise NonCommutingMaps("maps do not commute")
+    n1, n2 = m1.window, m2.window
+    if level < max(n1, n2) - 1:
+        raise ValueError("level must be at least max window - 1")
+    k = level
+    mid = k + n2 - 1
+    out = k + n2 - n1
+    img1_mid = m1.image_table(mid)
+    img2_mid = m2.image_table(mid)
+    lhs = np.zeros((1 << out, 1 << k), dtype=np.int64)
+    np.add.at(lhs, (img1_mid, img2_mid), 1)
+    img1_k = m1.image_table(k)
+    img2_out = m2.image_table(out)
+    rhs = (img1_k[None, :] == img2_out[:, None]).astype(np.int64)
+    if np.array_equal(lhs, rhs):
+        return CommuteDecision(True, level, None)
+    col = int(np.nonzero((lhs != rhs).any(axis=0))[0][0])
+    return CommuteDecision(False, level, Word(k, col))

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracle import CommuteDecision, operator_commute_check
 from starshift import (
-    CommuteDecision,
     CylinderFunction,
+    DynamicalSystem,
     Gf2Poly,
     NonCommutingMaps,
     NotAFrame,
@@ -19,12 +20,12 @@ from starshift import (
     basis,
     expectation,
     inner_product,
-    operator_commute_check,
     poly_gcd,
     refine_frame,
     standard_frame,
     transfer,
     verify_frame,
+    verify_relations,
 )
 
 SHIFT = WindowMap.shift()
@@ -421,6 +422,10 @@ class TestRefineFrame:
 
 
 class TestOperatorCommute:
+    """Relation (III) in function form, kept in `dense_oracle` as a dense oracle."""
+
+    POLYS = [Gf2Poly((1 << deg) | low) for deg in range(1, 4) for low in range(1 << deg)]
+
     def brute_force(self, m1, m2, level):
         for f in basis(level):
             if transfer(m1, alpha(m2, f)) != alpha(m2, transfer(m1, f)):
@@ -428,12 +433,8 @@ class TestOperatorCommute:
         return True
 
     def test_matches_polynomial_gcd(self):
-        polys = []
-        for deg in range(1, 4):
-            for low in range(1 << deg):
-                polys.append(Gf2Poly((1 << deg) | low))
-        for p in polys:
-            for q in polys:
+        for p in self.POLYS:
+            for q in self.POLYS:
                 decision = operator_commute_check(
                     WindowMap.from_poly(p), WindowMap.from_poly(q), 6
                 )
@@ -444,6 +445,16 @@ class TestOperatorCommute:
                     assert decision.witness is None
                 else:
                     assert isinstance(decision.witness, Word)
+
+    def test_matches_relation_three(self):
+        """The oracle's verdict is the (III) verdict of the relation suite."""
+        for p in self.POLYS:
+            for q in self.POLYS:
+                decision = operator_commute_check(
+                    WindowMap.from_poly(p), WindowMap.from_poly(q), 6
+                )
+                report = verify_relations(DynamicalSystem.from_polys([p, q]), 6)
+                assert decision.commute == report.pair_details[0]["holds"], (p, q)
 
     def test_witness_reproduces_disagreement(self):
         decision = operator_commute_check(SHIFT, DOUBLE, 6)

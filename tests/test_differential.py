@@ -5,7 +5,8 @@ The reports of both routes must agree exactly, witnesses included, on the
 systems the other tests use and on deliberately broken inputs: tampered
 image tables, a tampered composition operator and broken frames, so that
 every relation fails somewhere and its witness order and value are
-compared.
+compared.  The same-fiber pairs the suite reads from its fiber listing
+are compared with a general equi-join of the image tables.
 """
 
 import json
@@ -175,6 +176,82 @@ def test_tampered_alpha_fails_relation_one_alike(monkeypatch, polys, swap):
     report = assert_routes_agree(polys, level)
     assert report["relations"]["I"] is False
     assert report["witnesses"]["I"]["pair"] == [system(polys).names[-1]]
+
+
+def general_join(left, right):
+    """All index pairs (i, j) with left[i] == right[j], grouped by value."""
+    size = int(max(left.max(initial=0), right.max(initial=0))) + 1
+    lcount = np.bincount(left, minlength=size)
+    rcount = np.bincount(right, minlength=size)
+    per = lcount * rcount
+    value = np.repeat(np.arange(size), per)
+    offset = np.arange(value.size) - np.repeat(np.cumsum(per) - per, per)
+    width = rcount[value]
+    li = np.argsort(left, kind="stable")[(np.cumsum(lcount) - lcount)[value] + offset // width]
+    ri = np.argsort(right, kind="stable")[(np.cumsum(rcount) - rcount)[value] + offset % width]
+    return li, ri
+
+
+def assert_same_pairs(m_left, left_length, m_right, right_length):
+    """The fiber listing pairs the same words as the join of the two image tables."""
+    rows, cols = cylinder._pairs(
+        cylinder._fibers(m_left, left_length), cylinder._fibers(m_right, right_length)
+    )
+    li, ri = general_join(m_left.image_table(left_length), m_right.image_table(right_length))
+    assert rows.size == li.size
+    assert np.array_equal(
+        np.sort((rows << right_length) | cols), np.sort((li << right_length) | ri)
+    )
+
+
+PROGRESSIVE = [
+    d.to_window_map() for n in (2, 3, 4) for d in enumerate_dictionaries(n, "progressive")
+]
+
+
+def test_fiber_pairs_match_join_on_progressive_maps():
+    for m in PROGRESSIVE:
+        for length in range(m.window - 1, 11):
+            assert_same_pairs(m, length, m, length)
+
+
+@pytest.mark.parametrize(
+    "pi, pj", [("t", "1+t+t^2"), ("1+t+t^2", "t"), ("1+t", "1+t+t^3"), ("t^2", "1+t^2")]
+)
+def test_fiber_pairs_match_join_across_windows(pi, pj):
+    """The (III) pairs: words of mj and of mi that share an image."""
+    mi, mj = (WindowMap.from_poly(Gf2Poly.parse(p)) for p in (pi, pj))
+    di, dj = mi.window - 1, mj.window - 1
+    for k in range(6, 11):
+        assert_same_pairs(mj, k - di + dj, mi, k)
+
+
+@pytest.mark.parametrize("swap", [near_swap, far_swap, falling_swap])
+@pytest.mark.parametrize("polys", [("t", "1+t"), ("t", "t+t^2"), ("t", "1+t", "1+t+t^2")], ids="_".join)
+def test_fiber_pairs_match_join_on_swapped_tables(monkeypatch, polys, swap):
+    """A swap keeps every fiber size, so the listing still reads the tampered table."""
+    level = 6
+    gens = system(polys).generators
+    targets = {}
+    for m in gens:
+        for length in (level, level + m.window - 1):
+            targets[m, length] = swap(dictionary._image_table(m, length))
+    tamper_tables(monkeypatch, targets)
+    for m in gens:
+        for length in (level, level + m.window - 1):
+            assert_same_pairs(m, length, m, length)
+    for mi in gens:
+        for mj in gens:
+            assert_same_pairs(mj, level - mi.window + mj.window, mi, level)
+
+
+def test_fiber_listing_is_the_preimage_table():
+    """Read from the image table or derived from the rule, the fibers agree."""
+    for m in PROGRESSIVE:
+        for out in range(8):
+            assert np.array_equal(
+                cylinder._fibers(m, out + m.window - 1), cylinder._preimage_table(m, out)
+            )
 
 
 def scaled_member(frame):

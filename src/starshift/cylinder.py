@@ -273,24 +273,21 @@ def alpha(m: WindowMap, f: CylinderFunction) -> CylinderFunction:
 
 
 def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
-    """Encodings of the fiber of each level word, shape (2^out, fibers)."""
-    n = m.window
-    state_count = 1 << (n - 1)
-    c1 = np.array(
-        [m.rule_bit((s << 1) | 1) for s in range(state_count)], dtype=np.int64
-    )
-    targets = np.arange(1 << out_level, dtype=np.int64)
-    columns = []
-    for p in range(state_count):
-        y = np.full(targets.shape, p, dtype=np.int64)
-        state = np.full(targets.shape, p, dtype=np.int64)
-        for j in range(out_level):
-            t = (targets >> (out_level - 1 - j)) & 1
-            bit = (c1[state] == t).astype(np.int64)
-            y = (y << 1) | bit
-            state = ((state << 1) | bit) & (state_count - 1)
-        columns.append(y)
-    return np.stack(columns, axis=1)
+    """Encodings of the fiber of each level word, shape (2^out, fibers).
+
+    Column p is the preimage that starts in state p; all columns advance
+    together, one target bit at a time.  A table of words of out + n - 1
+    bits has 2^(out + n - 1) entries, so int32 holds any table that fits.
+    """
+    mask = (1 << (m.window - 1)) - 1
+    flip = np.array([1 ^ m.rule_bit((s << 1) | 1) for s in range(mask + 1)], dtype=np.int32)
+    targets = np.arange(1 << out_level, dtype=np.int32)[:, None]
+    y = np.tile(np.arange(mask + 1, dtype=np.int32), (targets.size, 1))
+    for j in range(out_level - 1, -1, -1):
+        bit = flip[y & mask] ^ (targets >> j) & 1
+        y <<= 1
+        y |= bit
+    return y.astype(np.int64)
 
 
 def transfer(m: WindowMap, f: CylinderFunction) -> CylinderFunction:
@@ -321,11 +318,10 @@ def standard_frame(m: WindowMap) -> list:
     """The frame sqrt(fibers) * indicator(w) over words of length n-1."""
     if not m.is_progressive:
         raise NotProgressive("frames exist for progressive rules")
-    root = QuadScalar.root2_power(m.window - 1)
-    return [
-        CylinderFunction.indicator(Word(m.window - 1, v)).scale(root)
-        for v in range(1 << (m.window - 1))
-    ]
+    d = m.window - 1
+    root = QuadScalar.root2_power(d)
+    a, b = int(root.a), int(root.b)
+    return [CylinderFunction(d, row * a, row * b, 1) for row in np.eye(1 << d, dtype=np.int64)]
 
 
 def _fibers(m: WindowMap, level: int) -> np.ndarray:
@@ -355,6 +351,25 @@ def _frame_gram(frame, level: int, den: int):
     if 3 * len(frame) * top * top >= 1 << 62:
         raise NumeratorOverflow("frame numerators grew unexpectedly large")
     return a.T @ a + 2 * (b.T @ b), a.T @ b + b.T @ a
+
+
+def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
+    """The Gram of `refine_frame`'s product frame at `prefix`, from the factor Grams.
+
+    Summed over nu1, nu2, (nu1 alpha(m1, nu2))(y) (nu1 alpha(m1, nu2))(y')
+    is G1(y, y') G2(m1 y, m1 y').  The Grams are numerator pairs (a, b) over
+    den1^2 and den2^2, as `_frame_gram` gives them; the result is over (den1 den2)^2.
+    """
+    top = [int(max(np.abs(a).max(), np.abs(b).max())) for a, b in (gram1, gram2)]
+    if 3 * top[0] * top[1] >= 1 << 62:
+        raise NumeratorOverflow("frame numerators grew unexpectedly large")
+    words = np.arange(1 << prefix, dtype=np.int64)
+    lifted = words >> (prefix - gram1[0].shape[0].bit_length() + 1)
+    level2 = gram2[0].shape[0].bit_length() - 1 + m1.window - 1
+    pulled = m1.image_table(level2)[words >> (prefix - level2)]
+    a1, b1 = (g[np.ix_(lifted, lifted)] for g in gram1)
+    a2, b2 = (g[np.ix_(pulled, pulled)] for g in gram2)
+    return a1 * a2 + 2 * (b1 * b2), a1 * b2 + b1 * a2
 
 
 def _fiber_gram(m: WindowMap, level: int, prefix: int, ga: np.ndarray, gb: np.ndarray):

@@ -30,9 +30,10 @@ from .cylinder import (
     _pairs,
     _preimage_table,
     _reduced,
+    _refined_gram,
     alpha,
-    refine_frame,
     standard_frame,
+    verify_frame,
 )
 from .dictionary import NotProgressive, WindowMap
 from .gf2poly import Gf2Poly, poly_gcd
@@ -314,9 +315,12 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     rows f(img(y)) at column img(y); S_p* M_chi_u S_p is c^2 at the single
     diagonal entry img(u); S_p* S_q counts the y with a given pair of
     images and S_q S_p* joins words with equal images; S_p S_p* is c^2 on
-    the pairs of words that share an image.  A failing relation names the
-    first failing indicator u (I, II) or frame word b (matrix units) and
-    the row-major first entry of the difference of its two sides.
+    the pairs of words that share an image.  Frame independence compares
+    the frame Gram of the composite with the entrywise product of the
+    factor Grams, G_i(y, y') G_j(m_i y, m_i y'), which is the Gram of the
+    refined frame.  A failing relation names the first failing indicator u
+    (I, II) or frame word b (matrix units) and the row-major first entry of
+    the difference of its two sides.
     """
     windows = [m.window for m in sys.generators]
     if not windows:
@@ -346,6 +350,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
             witnesses[name] = _witness(pair_names, row, col, value)
 
     words = np.arange(1 << k, dtype=np.int64)
+    frames = []
     for m, name in zip(sys.generators, sys.names):
         if not m.is_progressive:
             raise NotProgressive("isometries need a progressive rule")
@@ -381,7 +386,9 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         prefix = max(nu.level for nu in frame)
         den = math.lcm(*(nu.den for nu in frame))
         scale = fibers * den * den
-        rows, cols, ga, gb = _fiber_gram(m, k, prefix, *_frame_gram(frame, prefix, den))
+        gram = _frame_gram(frame, prefix, den)
+        frames.append((frame, prefix, den, gram))
+        rows, cols, ga, gb = _fiber_gram(m, k, prefix, *gram)
         found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
         if found is not None:
             row, col, value = found
@@ -442,16 +449,19 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     # the reconstruction sums of the two frames differ by c^2 times the
     # difference of their Grams on the same-fiber pairs, and not at all
     # when the Grams agree on every pair of prefixes.
+    for m, (frame, *_) in zip(sys.generators, frames):
+        verify_frame(frame, m)
     for i in range(sys.rank):
         for j in range(i, sys.rank):
             mi, mj = sys.generators[i], sys.generators[j]
+            (_, pi, den_i, gram_i), (_, pj, den_j, gram_j) = frames[i], frames[j]
             comp = mi.compose(mj)
             std = standard_frame(comp)
-            refined = refine_frame(standard_frame(mi), mi, standard_frame(mj), mj)
-            prefix = max(nu.level for nu in std + refined)
-            den = math.lcm(*(nu.den for nu in std + refined))
+            prefix = max(pi, pj + mi.window - 1, *(nu.level for nu in std))
+            den = math.lcm(den_i * den_j, *(nu.den for nu in std))
             sa, sb = _frame_gram(std, prefix, den)
-            ra, rb = _frame_gram(refined, prefix, den)
+            rescale = (den // (den_i * den_j)) ** 2
+            ra, rb = (g * rescale for g in _refined_gram(gram_i, mi, gram_j, prefix))
             if np.array_equal(sa, ra) and np.array_equal(sb, rb):
                 continue
             rows, cols, da, db = _fiber_gram(comp, k, prefix, sa - ra, sb - rb)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dense_oracle import CommuteDecision, operator_commute_check
@@ -27,6 +28,7 @@ from starshift import (
     verify_frame,
     verify_relations,
 )
+from starshift.cylinder import _refined_gram
 
 SHIFT = WindowMap.shift()
 XOR2 = WindowMap.from_poly(Gf2Poly.parse("1+t"))
@@ -373,6 +375,18 @@ class TestStandardFrame:
         with pytest.raises(NotProgressive):
             standard_frame(WindowMap(2, 0b0011))
 
+    @pytest.mark.parametrize("window", range(1, 9))
+    def test_members_match_scaled_indicators(self, window):
+        m = WindowMap.from_poly(Gf2Poly.parse("t^%d" % (window - 1)))
+        d = m.window - 1
+        root = QuadScalar.root2_power(d)
+        fam = standard_frame(m)
+        assert len(fam) == 1 << d
+        for v, nu in enumerate(fam):
+            old = CylinderFunction.indicator(Word(d, v)).scale(root)
+            assert (nu.level, nu.den) == (old.level, old.den)
+            assert np.array_equal(nu.num_a, old.num_a) and np.array_equal(nu.num_b, old.num_b)
+
 
 class TestVerifyFrame:
     def test_rejects_empty(self):
@@ -515,3 +529,10 @@ class TestNumeratorOverflow:
     def test_frame_gram_guard(self):
         with pytest.raises(NumeratorOverflow, match="^frame numerators grew"):
             verify_frame([self.BIG], SHIFT)
+
+    def test_refined_gram_guard(self):
+        big = np.full((2, 2), 1 << 31, dtype=np.int64)
+        gram = (big, np.zeros_like(big))
+        assert _refined_gram((big >> 2, gram[1]), SHIFT, gram, 2)[0].max() == 1 << 60
+        with pytest.raises(NumeratorOverflow, match="^frame numerators grew"):
+            _refined_gram(gram, SHIFT, gram, 2)

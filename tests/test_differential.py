@@ -10,6 +10,7 @@ are compared with a general equi-join of the image tables.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,7 +282,10 @@ def test_broken_frames_fail_alike(monkeypatch, polys, broken):
 
     for module in (cylinder, matrixmodel):
         monkeypatch.setattr(module, "standard_frame", frames)
-        monkeypatch.setattr(module, "refine_frame", unchecked_refine)
+    # The fast route checks each generator frame once, before frame
+    # independence; the dense route checks them inside `refine_frame`.
+    monkeypatch.setattr(matrixmodel, "verify_frame", lambda frame, m: None)
+    monkeypatch.setattr(cylinder, "refine_frame", unchecked_refine)
     report = assert_routes_agree(polys, 6)
     assert report["relations"]["IV"] is False
     assert report["relations"]["frame_independence"] is False
@@ -295,6 +299,50 @@ def test_broken_frame_is_refused_alike(monkeypatch):
     monkeypatch.setattr(cylinder, "standard_frame", lambda m: scaled_member(real(m)))
     kind, message = assert_routes_agree(("t", "1+t"), 6)
     assert (kind, message) == ("NotAFrame", "normalized squares do not sum to one")
+
+
+def gram_of(frame):
+    """A frame's Gram at its own level and common denominator, as the suite forms it."""
+    prefix = max(nu.level for nu in frame)
+    den = math.lcm(*(nu.den for nu in frame))
+    return cylinder._frame_gram(frame, prefix, den), prefix, den
+
+
+SMALL = [m for m in PROGRESSIVE if m.window <= 3]
+
+
+@pytest.mark.parametrize("broken", [list, scaled_member, spread_member])
+def test_refined_gram_is_the_gram_of_the_refined_frame(monkeypatch, broken):
+    """The product of the factor Grams equals the Gram of the built product frame."""
+    # Broken frames are no frames, so `refine_frame` forms its product unchecked.
+    monkeypatch.setattr(cylinder, "verify_frame", lambda frame, m: None)
+    for m1 in SMALL:
+        for m2 in SMALL:
+            frame1, frame2 = broken(standard_frame(m1)), broken(standard_frame(m2))
+            (gram1, p1, den1), (gram2, p2, den2) = gram_of(frame1), gram_of(frame2)
+            refined = refine_frame(frame1, m1, frame2, m2)
+            assert max(nu.level for nu in refined) == max(p1, p2 + m1.window - 1)
+            den = math.lcm(den1 * den2, *(nu.den for nu in refined))
+            rescale = (den // (den1 * den2)) ** 2
+            for prefix in (max(p1, p2 + m1.window - 1), p1 + p2 + m1.window):
+                ra, rb = cylinder._refined_gram(gram1, m1, gram2, prefix)
+                ea, eb = cylinder._frame_gram(refined, prefix, den)
+                assert np.array_equal(ra * rescale, ea), (m1, m2)
+                assert np.array_equal(rb * rescale, eb), (m1, m2)
+
+
+def test_relation_suite_builds_no_refined_frame(monkeypatch, capsys):
+    """Frame independence reads the factor Grams, so `verify` never refines a frame."""
+    polys = ("t", "1+t", "1+t+t^2")
+    code, out = oracle_output(polys, 7)
+
+    def refuse(*args):
+        raise AssertionError("a refined frame was built")
+
+    monkeypatch.setattr(cylinder, "refine_frame", refuse)
+    monkeypatch.setattr(matrixmodel, "refine_frame", refuse, raising=False)
+    got = main(["verify", *polys, "--level", "7", "--json"])
+    assert (got, *capsys.readouterr()) == (code, out, "")
 
 
 SHIFT = WindowMap.shift()

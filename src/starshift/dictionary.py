@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2poly import Gf2Poly, _kernel_walk
-from .words import PeriodicSeq, Word
+from .words import PeriodicSeq, Word, _check_bits
 
 
 class WordTooShort(ValueError):
@@ -49,34 +49,24 @@ class Dictionary:
             raise ValueError("member mask out of range")
 
     @classmethod
-    def from_words(cls, words) -> "Dictionary":
-        words = list(words)
-        if not words:
-            raise ValueError("dictionary needs at least one word")
-        n = words[0].length
-        if any(w.length != n for w in words):
-            raise ValueError("dictionary words must share one length")
-        mask = 0
-        for w in words:
-            mask |= 1 << w.bits
-        return cls(n, mask)
-
-    @classmethod
     def from_text(cls, text: str) -> "Dictionary":
         """Parse the comma-separated form, e.g. "001,100,011,110"."""
-        return cls.from_words(Word.from_str(part) for part in text.split(","))
+        parts = text.split(",")
+        for part in parts:
+            _check_bits(part)
+        if any(len(part) != len(parts[0]) for part in parts):
+            raise ValueError("dictionary words must share one length")
+        return cls(len(parts[0]), sum({1 << int("0" + part, 2) for part in parts}))
 
     def __contains__(self, w: Word) -> bool:
         return w.length == self.window and bool((self.members >> w.bits) & 1)
-
-    def words(self) -> list:
-        return [Word(self.window, v) for v in range(1 << self.window) if (self.members >> v) & 1]
 
     def to_window_map(self) -> "WindowMap":
         return WindowMap(self.window, self.members, _linear_poly(self.window, self.members))
 
     def __str__(self):
-        return ",".join(str(w) for w in self.words())
+        spec = "0%db" % self.window
+        return ",".join(format(v, spec) for v in range(1 << self.window) if (self.members >> v) & 1)
 
 
 def _linear_table(window: int, coeffs: int) -> int:

@@ -40,8 +40,9 @@ from .gf2poly import Gf2Poly, poly_gcd
 from .starcomm import DynamicalSystem, InvalidSystem, MonoidElement, _coprimality_witnesses
 from .words import PeriodicSeq, Word
 
-# The most image-table entries one relation check may need.
+# The most table or frame entries, and frame Gram multiply-adds, one check may need.
 TABLE_BUDGET = 1 << 24
+GRAM_BUDGET = 1 << 30
 
 
 class LevelTooSmall(ValueError):
@@ -60,8 +61,12 @@ class LevelTooLarge(ValueError):
         )
 
 
+class FrameTooLarge(ValueError):
+    """The generators' degrees need frame Grams beyond the entry or work budget."""
+
+
 class NoSeparation(ValueError):
-    """The two maps agree on the given point, so no bump can separate them."""
+    """No cylinder prefix of the given point separates the two maps."""
 
 
 def _guard(*arrays):
@@ -332,6 +337,15 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     entries = 1 << (level + max_window - 1)
     if entries > TABLE_BUDGET:
         raise LevelTooLarge(level, entries)
+    # The largest frame, a square's composite standard frame, has 2^P members
+    # of 2^P entries for P twice the largest degree; its Gram takes 8^P steps.
+    top = 2 * (max_window - 1)
+    if 1 << 2 * top > TABLE_BUDGET or 1 << 3 * top > GRAM_BUDGET:
+        raise FrameTooLarge(
+            "degree %d needs frames of 2^%d entries and Grams of 2^%d multiply-adds, over the "
+            "budgets of 2^%d and 2^%d"
+            % (top // 2, 2 * top, 3 * top, TABLE_BUDGET.bit_length() - 1, GRAM_BUDGET.bit_length() - 1)
+        )
     k = level
     relations = {
         "I": True,
@@ -590,4 +604,4 @@ def annihilating_bump(
         cols = mq.image_table(working)[lo << (working - m) : hi << (working - m)]
         if not np.isin(rows, cols).any():
             return BumpReport(u, working)
-    raise AssertionError("separation bound exceeded; this cannot happen")
+    raise NoSeparation("no prefix of length up to %d separates the images" % bound)

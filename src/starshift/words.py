@@ -9,7 +9,17 @@ so that structural equality coincides with equality as sequences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+
+def _check_bits(text: str) -> None:
+    if text.strip("01"):
+        raise ValueError("word must consist of 0s and 1s: %r" % text)
+
+
+def _bit_text(length: int, bits: int) -> str:
+    return format(bits, "0%db" % length) if length else ""
 
 
 @dataclass(frozen=True, order=True)
@@ -28,8 +38,7 @@ class Word:
     @classmethod
     def from_str(cls, text: str) -> "Word":
         """Parse a word from a string of 0s and 1s such as "1101"."""
-        if text and set(text) - {"0", "1"}:
-            raise ValueError("word must consist of 0s and 1s: %r" % text)
+        _check_bits(text)
         return cls(len(text), int(text, 2) if text else 0)
 
     @classmethod
@@ -69,7 +78,7 @@ class Word:
         return Word(self.length, self.bits ^ other.bits)
 
     def __str__(self):
-        return format(self.bits, "0%db" % self.length) if self.length else ""
+        return _bit_text(self.length, self.bits)
 
 
 def _tile(bits: int, width: int, total: int) -> int:
@@ -82,11 +91,24 @@ def _tile(bits: int, width: int, total: int) -> int:
     return value >> (reps * width - total)
 
 
+@functools.lru_cache(maxsize=256)
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes dividing n, ascending."""
+    divisors = [q for q in range(2, n + 1) if n % q == 0]
+    return tuple(q for q in divisors if all(q % p for p in divisors if p < q))
+
+
 def _normalize(pre_len, pre_bits, per_len, per_bits):
-    # Reduce the period to its primitive root, whose length is the least
-    # rotation that fixes the period.
-    text = format(per_bits, "0%db" % per_len)
-    root = (text + text).find(text, 1)
+    # Reduce the period to its primitive root.  The rotations fixing the
+    # period are the multiples of the least one, the root's length, so
+    # dividing out each prime of per_len while the rotation fixes it ends there.
+    ring, root = (1 << per_len) - 1, per_len
+    for q in _prime_factors(per_len):
+        while root % q == 0:
+            r = root // q
+            if ((per_bits << r) | (per_bits >> (per_len - r))) & ring != per_bits:
+                break
+            root = r
     per_len, per_bits = root, per_bits >> (per_len - root)
     # Absorb preperiod symbols that already agree with the periodic tail.
     while pre_len > 0 and (pre_bits & 1) == (per_bits & 1):
@@ -135,14 +157,6 @@ class PeriodicSeq:
         return cls(0, 0, 1, 0)
 
     @property
-    def preperiod(self) -> Word:
-        return Word(self.pre_len, self.pre_bits)
-
-    @property
-    def period(self) -> Word:
-        return Word(self.per_len, self.per_bits)
-
-    @property
     def is_zero(self) -> bool:
         return self.pre_len == 0 and self.per_len == 1 and self.per_bits == 0
 
@@ -158,7 +172,7 @@ class PeriodicSeq:
     def prefix(self, k: int) -> Word:
         """The word x_1 ... x_k."""
         if k <= self.pre_len:
-            return self.preperiod.prefix(k)
+            return Word(k, self.pre_bits >> (self.pre_len - k))
         tail = _tile(self.per_bits, self.per_len, k - self.pre_len)
         return Word(k, (self.pre_bits << (k - self.pre_len)) | tail)
 
@@ -174,4 +188,4 @@ class PeriodicSeq:
         return (self.pre_len, self.per_len, self.pre_bits, self.per_bits)
 
     def __str__(self):
-        return "%s:%s" % (self.preperiod, self.period)
+        return "%s:%s" % (_bit_text(self.pre_len, self.pre_bits), _bit_text(self.per_len, self.per_bits))

@@ -94,6 +94,23 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    # int(part, 2) takes underscores, signs, blanks and 0b, so the explicit
+    # 0/1 check must still name the offending member.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0_1,10", "word must consist of 0s and 1s: '0_1'"),
+            (" 01,10", "word must consist of 0s and 1s: ' 01'"),
+            ("+01,10", "word must consist of 0s and 1s: '+01'"),
+            ("0b1,10", "word must consist of 0s and 1s: '0b1'"),
+            ("01,1", "dictionary words must share one length"),
+            ("01,,10", "dictionary words must share one length"),
+            ("", "dictionary window must be at least 2"),
+        ],
+    )
+    def test_malformed_dictionary_text_keeps_its_error(self, capsys, text, message):
+        assert run(capsys, ["analyze", text]) == (2, "", "error: %s\n" % message)
+
 
 class TestClassify:
     def test_window_two(self, capsys):
@@ -245,6 +262,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "2^61 = 2305843009213693952 entries" in err
+
+    def test_frame_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "t", "1+t+t^7", "--level", "14"])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: degree 7 needs frames of 2^28 entries and Grams of 2^42 multiply-adds, "
+            "over the budgets of 2^24 and 2^30\n"
+        )
 
 
 class TestLedrappier:

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from starshift import (
     CylinderFunction,
     DynamicalSystem,
+    FrameTooLarge,
     Gf2Poly,
     InvalidSystem,
     LevelOperator,
@@ -286,6 +288,23 @@ class TestVerifyRelations:
             verify_relations(wide, 23)
         assert info.value.entries == 1 << 25
 
+    def test_frame_budget_refuses_before_any_frame(self, monkeypatch):
+        """Degrees 6-8 at their smallest levels are refused from the prediction alone."""
+        import starshift.matrixmodel as matrixmodel
+
+        def refuse(m):
+            raise RuntimeError("a frame was built")
+
+        monkeypatch.setattr(matrixmodel, "standard_frame", refuse)
+        for degree, poly in ((6, "1+t+t^6"), (7, "1+t+t^7"), (8, "1+t^2+t^3+t^4+t^8")):
+            sys = DynamicalSystem.from_polys([T, Gf2Poly.parse(poly)], ["s", "p"])
+            with pytest.raises(FrameTooLarge, match="degree %d needs" % degree):
+                verify_relations(sys, 2 * degree)
+        # Degree 5 passes the prediction and goes on to build its frames.
+        sys = DynamicalSystem.from_polys([T, Gf2Poly.parse("1+t^2+t^5")], ["s", "p"])
+        with pytest.raises(RuntimeError, match="a frame was built"):
+            verify_relations(sys, 10)
+
     def test_deterministic(self):
         sys = DynamicalSystem.from_polys([T, T + T * T], ["sigma", "theta"])
         assert verify_relations(sys, 6) == verify_relations(sys, 6)
@@ -452,3 +471,13 @@ class TestAnnihilatingBump:
             )
         with pytest.raises(NoSeparation):
             annihilating_bump(self.coprime, self.p, self.q, PeriodicSeq.parse(":0"))
+
+    def test_exhausted_bound_is_a_typed_error(self, monkeypatch):
+        """Image tables that share every image leave no prefix that separates."""
+
+        def shared_images(m, length):
+            return np.zeros(1 << length, dtype=np.int64)
+
+        monkeypatch.setattr(WindowMap, "image_table", shared_images)
+        with pytest.raises(NoSeparation, match="no prefix of length up to 2 separates"):
+            annihilating_bump(self.coprime, self.p, self.q, PeriodicSeq.parse("1:0"))

@@ -49,6 +49,16 @@ class Dictionary:
             raise ValueError("member mask out of range")
 
     @classmethod
+    def from_words(cls, words) -> "Dictionary":
+        words = list(words)
+        if not words:
+            raise ValueError("dictionary needs at least one word")
+        n = words[0].length
+        if any(w.length != n for w in words):
+            raise ValueError("dictionary words must share one length")
+        return cls(n, sum({1 << w.bits for w in words}))
+
+    @classmethod
     def from_text(cls, text: str) -> "Dictionary":
         """Parse the comma-separated form, e.g. "001,100,011,110"."""
         parts = text.split(",")
@@ -60,6 +70,9 @@ class Dictionary:
 
     def __contains__(self, w: Word) -> bool:
         return w.length == self.window and bool((self.members >> w.bits) & 1)
+
+    def words(self) -> list:
+        return [Word(self.window, v) for v in range(1 << self.window) if (self.members >> v) & 1]
 
     def to_window_map(self) -> "WindowMap":
         return WindowMap(self.window, self.members, _linear_poly(self.window, self.members))

@@ -62,7 +62,7 @@ class LevelTooLarge(ValueError):
 
 
 class FrameTooLarge(ValueError):
-    """The generators' degrees need frame Grams beyond the entry or work budget."""
+    """The generators' degrees need frame Grams beyond GRAM_BUDGET."""
 
 
 class NoSeparation(ValueError):
@@ -337,15 +337,12 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     entries = 1 << (level + max_window - 1)
     if entries > TABLE_BUDGET:
         raise LevelTooLarge(level, entries)
-    # The largest frame, a square's composite standard frame, has 2^P members
-    # of 2^P entries for P twice the largest degree; its Gram takes 8^P steps.
-    top = 2 * (max_window - 1)
-    if 1 << 2 * top > TABLE_BUDGET or 1 << 3 * top > GRAM_BUDGET:
-        raise FrameTooLarge(
-            "degree %d needs frames of 2^%d entries and Grams of 2^%d multiply-adds, over the "
-            "budgets of 2^%d and 2^%d"
-            % (top // 2, 2 * top, 3 * top, TABLE_BUDGET.bit_length() - 1, GRAM_BUDGET.bit_length() - 1)
-        )
+    if not all(m.is_progressive for m in sys.generators):
+        raise NotProgressive("isometries need a progressive rule")
+    # A square's composite standard frame, the largest, has 4^P entries and an 8^P-step
+    # Gram for P twice the top degree; 8^P <= GRAM_BUDGET gives 4^P <= TABLE_BUDGET.
+    if 8 ** (2 * max_window - 2) > GRAM_BUDGET:
+        raise FrameTooLarge("degree %d needs frame Grams over GRAM_BUDGET" % (max_window - 1))
     k = level
     relations = {
         "I": True,
@@ -366,8 +363,6 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     words = np.arange(1 << k, dtype=np.int64)
     frames = []
     for m, name in zip(sys.generators, sys.names):
-        if not m.is_progressive:
-            raise NotProgressive("isometries need a progressive rule")
         d = m.window - 1
         fibers = m.fiber_count
         c = _inv_root(d)

@@ -91,11 +91,17 @@ def _tile(bits: int, width: int, total: int) -> int:
     return value >> (reps * width - total)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _prime_factors(n: int) -> tuple:
-    """The distinct primes dividing n, ascending."""
-    divisors = [q for q in range(2, n + 1) if n % q == 0]
-    return tuple(q for q in divisors if all(q % p for p in divisors if p < q))
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return tuple(primes + [n] * (n > 1))
 
 
 def _normalize(pre_len, pre_bits, per_len, per_bits):
@@ -130,12 +136,12 @@ class PeriodicSeq:
     def __post_init__(self):
         if self.per_len < 1:
             raise ValueError("period must be nonempty")
-        if _normalize(self.pre_len, self.pre_bits, self.per_len, self.per_bits) != (
-            self.pre_len,
-            self.pre_bits,
-            self.per_len,
-            self.per_bits,
+        if min(self.pre_len, self.pre_bits, self.per_bits) < 0 or (
+            self.pre_bits >> self.pre_len or self.per_bits >> self.per_len
         ):
+            raise ValueError("sequence bits out of range")
+        parts = (self.pre_len, self.pre_bits, self.per_len, self.per_bits)
+        if _normalize(*parts) != parts:
             raise ValueError("sequence not in normal form; use from_parts")
 
     @classmethod
@@ -157,6 +163,14 @@ class PeriodicSeq:
         return cls(0, 0, 1, 0)
 
     @property
+    def preperiod(self) -> Word:
+        return Word(self.pre_len, self.pre_bits)
+
+    @property
+    def period(self) -> Word:
+        return Word(self.per_len, self.per_bits)
+
+    @property
     def is_zero(self) -> bool:
         return self.pre_len == 0 and self.per_len == 1 and self.per_bits == 0
 
@@ -172,7 +186,7 @@ class PeriodicSeq:
     def prefix(self, k: int) -> Word:
         """The word x_1 ... x_k."""
         if k <= self.pre_len:
-            return Word(k, self.pre_bits >> (self.pre_len - k))
+            return self.preperiod.prefix(k)
         tail = _tile(self.per_bits, self.per_len, k - self.pre_len)
         return Word(k, (self.pre_bits << (k - self.pre_len)) | tail)
 

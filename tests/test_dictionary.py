@@ -46,7 +46,7 @@ def brute_force_all_dictionaries(n):
 
 
 def dictionary_from_tuples(n, members):
-    return Dictionary(n, sum(1 << Word.from_bits(w).bits for w in members))
+    return Dictionary.from_words([Word.from_bits(w) for w in sorted(members)])
 
 
 def apply_oracle(members, word_bits):
@@ -65,6 +65,7 @@ class TestDictionary:
         assert d.window == 2
         assert Word.from_str("01") in d
         assert Word.from_str("11") not in d
+        assert [str(w) for w in d.words()] == ["01", "10"]
 
     def test_member_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -40,19 +40,16 @@ def text_normalize(pre_len, pre_bits, per_len, per_bits):
 
 def word_text(s):
     """The "preperiod:period" text of a sequence, from its two words."""
-    return "%s:%s" % (Word(s.pre_len, s.pre_bits), Word(s.per_len, s.per_bits))
+    return "%s:%s" % (s.preperiod, s.period)
 
 
 def word_dictionary_text(d):
-    return ",".join(str(Word(d.window, v)) for v in range(1 << d.window) if (d.members >> v) & 1)
+    return ",".join(str(w) for w in d.words())
 
 
 def word_from_text(text):
     """Dictionary text parsed one `Word` per member."""
-    words = [Word.from_str(part) for part in text.split(",")]
-    if any(w.length != words[0].length for w in words):
-        raise ValueError("dictionary words must share one length")
-    return Dictionary(words[0].length, sum({1 << w.bits for w in words}))
+    return Dictionary.from_words(Word.from_str(part) for part in text.split(","))
 
 
 def outcome(parse, text):
@@ -109,19 +106,26 @@ def test_every_recurrence_kernel_up_to_degree_10():
             assert_listing_matches(recurrence_kernel(Gf2Poly((1 << degree) | low)))
 
 
-def test_every_progressive_dictionary_kernel_up_to_window_4():
-    for n in (2, 3, 4):
+def test_every_progressive_dictionary_kernel_up_to_window_5():
+    for n in (2, 3, 4, 5):
         for d in enumerate_dictionaries(n, "progressive"):
             assert_listing_matches(kernel_elements(d))
 
 
-@pytest.mark.parametrize("window, count", [(5, 4096), (6, 2048)])
-def test_sampled_dictionary_kernels(window, count):
-    """Windows 5 and 6 have 2^16 and 2^32 progressive dictionaries; these are samples."""
+def test_sampled_window_6_dictionary_kernels():
+    """Window 6 has 2^32 progressive dictionaries; this is a seeded sample."""
     rng = random.Random(20261018)
-    top = 1 << (window - 1)
-    for choice in rng.sample(range(1 << top), count):
-        assert_listing_matches(kernel_elements(Dictionary(window, progressive_mask(window, choice))))
+    for _ in range(4096):
+        d = Dictionary(6, progressive_mask(6, rng.getrandbits(32)))
+        assert_listing_matches(kernel_elements(d))
+
+
+@pytest.mark.parametrize(
+    "parts", [(0, 0, 1, 2), (0, 0, 1, -1), (0, 0, 3, 8), (1, 2, 1, 0), (1, 3, 1, 0), (-1, 0, 1, 0)]
+)
+def test_out_of_range_bits_are_refused(parts):
+    with pytest.raises(ValueError, match="sequence bits out of range"):
+        PeriodicSeq(*parts)
 
 
 def test_every_window_4_dictionary_text_round_trips():

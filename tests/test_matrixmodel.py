@@ -16,6 +16,7 @@ from starshift import (
     LevelTooSmall,
     MonoidElement,
     NoSeparation,
+    NotProgressive,
     NumeratorOverflow,
     PeriodicSeq,
     QuadScalar,
@@ -304,6 +305,12 @@ class TestVerifyRelations:
         sys = DynamicalSystem.from_polys([T, Gf2Poly.parse("1+t^2+t^5")], ["s", "p"])
         with pytest.raises(RuntimeError, match="a frame was built"):
             verify_relations(sys, 10)
+
+    def test_progressive_check_comes_before_the_frame_budget(self, monkeypatch):
+        monkeypatch.setattr(WindowMap, "is_progressive", property(lambda m: False))
+        sys = DynamicalSystem.from_polys([T, Gf2Poly.parse("1+t+t^7")], ["s", "p"])
+        with pytest.raises(NotProgressive, match="isometries need a progressive rule"):
+            verify_relations(sys, 14)
 
     def test_deterministic(self):
         sys = DynamicalSystem.from_polys([T, T + T * T], ["sigma", "theta"])

@@ -121,13 +121,13 @@ class TestPeriodicSeq:
         for s in seen.values():
             assert s.per_len >= 1
             # period not a repetition of a shorter word
-            per = str(Word(s.per_len, s.per_bits))
+            per = str(s.period)
             for d in range(1, s.per_len):
                 if s.per_len % d == 0:
                     assert per != per[:d] * (s.per_len // d)
             # last preperiod symbol differs from last period symbol
             if s.pre_len:
-                assert s.pre_bits & 1 != s.per_bits & 1
+                assert s.preperiod.bit(s.pre_len) != s.period.bit(s.per_len)
 
     def test_addition_matches_streams(self):
         pool = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dictionary import NotProgressive, WindowMap
+from .dictionary import NotProgressive, WindowMap, _zero_completions
 from .words import Word
 
 
@@ -280,7 +280,7 @@ def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
     bits has 2^(out + n - 1) entries, so int32 holds any table that fits.
     """
     mask = (1 << (m.window - 1)) - 1
-    flip = np.array([1 ^ m.rule_bit((s << 1) | 1) for s in range(mask + 1)], dtype=np.int32)
+    flip = _zero_completions(m).astype(np.int32)
     targets = np.arange(1 << out_level, dtype=np.int32)[:, None]
     y = np.tile(np.arange(mask + 1, dtype=np.int32), (targets.size, 1))
     for j in range(out_level - 1, -1, -1):

@@ -118,6 +118,11 @@ def _rule_bits(m: "WindowMap") -> np.ndarray:
     return np.unpackbits(raw, count=size, bitorder="little")
 
 
+def _zero_completions(m: "WindowMap") -> np.ndarray:
+    """Entry s is m.completion(s, 0) for a progressive m: 1 - rule(2s + 1)."""
+    return 1 - _rule_bits(m)[1::2]
+
+
 class WindowMap:
     """A sliding-window map given by its window and local rule truth table.
 
@@ -368,4 +373,5 @@ def kernel_elements(d: Dictionary) -> list:
     if not m.is_progressive:
         raise NotProgressive(str(d))
     width = d.window - 1
-    return _kernel_walk(width, [m.completion(state, 0) for state in range(1 << width)])
+    # Python ints: the walk's period shifts outgrow 64 bits.
+    return _kernel_walk(width, _zero_completions(m).tolist())

@@ -85,6 +85,8 @@ def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
     """Rows 0..steps of the orbit of a base row under a progressive map."""
     if not d.to_window_map().is_progressive:
         raise NotProgressive(str(d))
+    if steps < 0:
+        raise ValueError("steps must be nonnegative, got %d" % steps)
     if base.length < steps * (d.window - 1) + 1:
         raise WordTooShort("base too short for %d steps" % steps)
     rows = [base]

@@ -33,7 +33,6 @@ from .cylinder import (
     _refined_gram,
     alpha,
     standard_frame,
-    verify_frame,
 )
 from .dictionary import NotProgressive, WindowMap
 from .gf2poly import Gf2Poly, poly_gcd
@@ -52,13 +51,22 @@ class LevelTooSmall(ValueError):
 class LevelTooLarge(ValueError):
     """The requested level needs image tables beyond the entry budget."""
 
-    def __init__(self, level: int, entries: int):
+    def __init__(self, level: int, power: int):
         self.level = level
-        self.entries = entries
+        self.power = power
+        # The count in decimal only while it stays within Python's default
+        # 4300-digit limit for int to str conversion.
+        count = "2^%d" % power
+        if power * math.log10(2) < 4300:
+            count += " = %d" % self.entries
         super().__init__(
-            "level %d needs an image table of 2^%d = %d entries, over the budget of 2^%d"
-            % (level, entries.bit_length() - 1, entries, TABLE_BUDGET.bit_length() - 1)
+            "level %d needs an image table of %s entries, over the budget of 2^%d"
+            % (level, count, TABLE_BUDGET.bit_length() - 1)
         )
+
+    @property
+    def entries(self) -> int:
+        return 1 << self.power
 
 
 class FrameTooLarge(ValueError):
@@ -325,7 +333,8 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     factor Grams, G_i(y, y') G_j(m_i y, m_i y'), which is the Gram of the
     refined frame.  A failing relation names the first failing indicator u
     (I, II) or frame word b (matrix units) and the row-major first entry of
-    the difference of its two sides.
+    the difference of its two sides.  IV and the matrix units decide that
+    each generator's frame is a Parseval frame: a broken one fails them.
     """
     windows = [m.window for m in sys.generators]
     if not windows:
@@ -334,9 +343,9 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     composite_window = 2 * max_window - 1
     if level < max_window + 2 or level < composite_window - 1:
         raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
-    entries = 1 << (level + max_window - 1)
-    if entries > TABLE_BUDGET:
-        raise LevelTooLarge(level, entries)
+    power = level + max_window - 1
+    if power > TABLE_BUDGET.bit_length() - 1:
+        raise LevelTooLarge(level, power)
     if not all(m.is_progressive for m in sys.generators):
         raise NotProgressive("isometries need a progressive rule")
     # A square's composite standard frame, the largest, has 4^P entries and an 8^P-step
@@ -396,7 +405,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         den = math.lcm(*(nu.den for nu in frame))
         scale = fibers * den * den
         gram = _frame_gram(frame, prefix, den)
-        frames.append((frame, prefix, den, gram))
+        frames.append((prefix, den, gram))
         rows, cols, ga, gb = _fiber_gram(m, k, prefix, *gram)
         found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
         if found is not None:
@@ -458,12 +467,10 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     # the reconstruction sums of the two frames differ by c^2 times the
     # difference of their Grams on the same-fiber pairs, and not at all
     # when the Grams agree on every pair of prefixes.
-    for m, (frame, *_) in zip(sys.generators, frames):
-        verify_frame(frame, m)
     for i in range(sys.rank):
         for j in range(i, sys.rank):
             mi, mj = sys.generators[i], sys.generators[j]
-            (_, pi, den_i, gram_i), (_, pj, den_j, gram_j) = frames[i], frames[j]
+            (pi, den_i, gram_i), (pj, den_j, gram_j) = frames[i], frames[j]
             comp = mi.compose(mj)
             std = standard_frame(comp)
             prefix = max(pi, pj + mi.window - 1, *(nu.level for nu in std))

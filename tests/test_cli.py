@@ -263,6 +263,16 @@ class TestVerify:
         assert out == ""
         assert "2^61 = 2305843009213693952 entries" in err
 
+    @pytest.mark.parametrize("level, power", [(100000, 100001), (100000000000, 100000000001)])
+    def test_huge_level_is_refused_by_its_power_of_two(self, capsys, level, power):
+        """The budget compares exponents, so no 2^level integer is built or printed."""
+        code, out, err = run(capsys, ["verify", "t", "--level", str(level), "--json"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: level %d needs an image table of 2^%d entries, over the budget of 2^24\n"
+            % (level, power)
+        )
+
     def test_frame_over_budget_exits_2(self, capsys):
         code, out, err = run(capsys, ["verify", "t", "1+t+t^7", "--level", "14"])
         assert code == 2
@@ -300,6 +310,17 @@ class TestLedrappier:
         code, out, err = run(capsys, ["ledrappier", "1101", "--steps", "9"])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_negative_steps_exit_2(self, capsys):
+        code, out, err = run(capsys, ["ledrappier", "1101", "--steps", "-3", "--json"])
+        assert (code, out, err) == (2, "", "error: steps must be nonnegative, got -3\n")
+
+    def test_schema_requires_nonnegative_steps(self, capsys):
+        code, payload = run_json(capsys, ["ledrappier", "1101", "--steps", "0"])
+        assert code == 0
+        payload["steps"] = -3
+        with pytest.raises(jsonschema.ValidationError):
+            VALIDATOR.validate(payload)
 
 
 class TestParser:

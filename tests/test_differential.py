@@ -11,6 +11,7 @@ are compared with a general equi-join of the image tables.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,15 +278,8 @@ def test_broken_frames_fail_alike(monkeypatch, polys, broken):
     def frames(m):
         return broken(real(m)) if m == target else real(m)
 
-    def unchecked_refine(frame1, m1, frame2, m2):
-        return [nu1 * cylinder.alpha(m1, nu2) for nu1 in frame1 for nu2 in frame2]
-
     for module in (cylinder, matrixmodel):
         monkeypatch.setattr(module, "standard_frame", frames)
-    # The fast route checks each generator frame once, before frame
-    # independence; the dense route checks them inside `refine_frame`.
-    monkeypatch.setattr(matrixmodel, "verify_frame", lambda frame, m: None)
-    monkeypatch.setattr(cylinder, "refine_frame", unchecked_refine)
     report = assert_routes_agree(polys, 6)
     assert report["relations"]["IV"] is False
     assert report["relations"]["frame_independence"] is False
@@ -293,12 +287,100 @@ def test_broken_frames_fail_alike(monkeypatch, polys, broken):
         assert report["relations"]["orthonormal_matrix_units"] is False
 
 
-def test_broken_frame_is_refused_alike(monkeypatch):
+def test_broken_frame_is_reported_alike(monkeypatch, capsys):
+    """A broken frame fails IV with a witness on both routes, so `verify` exits 1, not 2."""
     real = cylinder.standard_frame
     monkeypatch.setattr(matrixmodel, "standard_frame", lambda m: scaled_member(real(m)))
     monkeypatch.setattr(cylinder, "standard_frame", lambda m: scaled_member(real(m)))
-    kind, message = assert_routes_agree(("t", "1+t"), 6)
-    assert (kind, message) == ("NotAFrame", "normalized squares do not sum to one")
+    polys = ("t", "1+t")
+    report = assert_routes_agree(polys, 6)
+    assert report["relations"]["IV"] is False
+    assert report["witnesses"]["IV"]["pair"] == ["p1"]
+    assert main(["verify", *polys, "--level", "6", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witnesses"] == report["witnesses"]
+
+
+def test_relation_suite_never_calls_verify_frame(monkeypatch, capsys):
+    """IV and the matrix units decide the generator frames, so `verify_frame` never runs."""
+
+    def refuse(*args):
+        raise AssertionError("verify_frame was called")
+
+    expected = [oracle_output(polys, 7) for polys in SYSTEMS]
+    monkeypatch.setattr(cylinder, "verify_frame", refuse)
+    monkeypatch.setattr(matrixmodel, "verify_frame", refuse, raising=False)
+    for polys, (code, out) in zip(SYSTEMS, expected):
+        got = main(["verify", *polys, "--level", "7", "--json"])
+        assert (got, *capsys.readouterr()) == (code, out, ""), polys
+
+
+def negated_member(frame):
+    return [frame[0].scale(QuadScalar.of(-1))] + list(frame[1:])
+
+
+def dropped_member(frame):
+    return list(frame[1:])
+
+
+def merged_members(frame):
+    return [frame[0] + frame[1]] + list(frame[2:])
+
+
+def mixed_members(frame):
+    """(nu0 + nu1) / sqrt2 and (nu0 - nu1) / sqrt2: the same Gram, overlapping supports."""
+    half_root = QuadScalar.of(0, Fraction(1, 2))
+    mixed = [(frame[0] + frame[1]).scale(half_root), (frame[0] - frame[1]).scale(half_root)]
+    return mixed + list(frame[2:])
+
+
+def zeroed_member(frame):
+    return [frame[0].scale(QuadScalar.of(0))] + list(frame[1:])
+
+
+def swapped_members(frame):
+    return [frame[1], frame[0]] + list(frame[2:])
+
+
+BROKEN_FRAMES = [
+    scaled_member,
+    spread_member,
+    negated_member,
+    dropped_member,
+    merged_members,
+    mixed_members,
+    zeroed_member,
+    swapped_members,
+]
+
+
+@pytest.mark.parametrize(
+    "polys", [("t", "1+t"), ("t", "1+t+t^2"), ("1+t", "t^2"), ("t",), ("1+t+t^2",)], ids="_".join
+)
+def test_broken_generator_frames_are_decided_by_iv_and_matrix_units(monkeypatch, polys):
+    """Both routes report each broken frame alike, and every non-frame fails IV or the matrix units."""
+    real = cylinder.standard_frame
+    rejected = 0
+    for target in system(polys).generators:
+        for broken in BROKEN_FRAMES:
+            frame = broken(real(target))
+            refused = frame_outcome(verify_frame, frame, target) is not None
+
+            def frames(m, target=target, frame=frame):
+                return frame if m == target else real(m)
+
+            with monkeypatch.context() as patch:
+                for module in (cylinder, matrixmodel):
+                    patch.setattr(module, "standard_frame", frames)
+                report = assert_routes_agree(polys, 6)
+            if refused:
+                rejected += 1
+                relations = report["relations"]
+                assert not (relations["IV"] and relations["orthonormal_matrix_units"]), (
+                    target,
+                    broken.__name__,
+                )
+    # Negating or swapping members keeps a Parseval frame; the six other breaks do not.
+    assert rejected == 6 * len(system(polys).generators)
 
 
 def gram_of(frame):

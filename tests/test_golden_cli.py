@@ -1,0 +1,105 @@
+"""Byte-identity of the command-line interface on a fixed set of calls.
+
+`golden_cli.json` maps each call, its arguments joined by spaces, to the
+first 16 hex digits of the sha256 of its exit code, stdout and stderr,
+run in process through `cli.main`.  Any change to what one of these calls
+prints or returns fails here.  After an intended output change, regenerate
+the file from the repository root with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+
+and say in the change which calls moved and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import pathlib
+import sys
+
+from starshift.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+LOW_POLYS = ("t", "1+t", "t^2", "1+t^2", "t+t^2", "1+t+t^2")
+
+
+def _poly_text(mask: int) -> str:
+    terms = ["1" if i == 0 else "t" if i == 1 else "t^%d" % i for i in range(mask.bit_length()) if mask >> i & 1]
+    return "+".join(terms)
+
+
+def _progressive_members(n: int, choice: int) -> str:
+    """The dictionary of window n completing prefix a with bit a of `choice`."""
+    words = sorted((a << 1) | ((choice >> a) & 1) for a in range(1 << (n - 1)))
+    return ",".join(format(w, "0%db" % n) for w in words)
+
+
+def calls() -> list:
+    """Every call of the golden set, as argument lists."""
+    out = []
+    for size in (1, 2, 3):
+        for polys in itertools.combinations(LOW_POLYS, size):
+            for level in (6, 7, 8):
+                out.append(["verify", *polys, "--level", str(level), "--json"])
+            out.append(["verify", *polys, "--level", "7"])
+    out += [
+        ["verify", "t", "1+t+t^4", "--level", "8", "--json"],
+        ["verify", "t", "1+t+t^6", "--level", "12", "--json"],
+        ["verify", "t", "--level", "2"],
+        ["verify", "t", "--level", "40"],
+    ]
+    for mask in range(2, 1 << 9):
+        out.append(["kernel", "--poly", _poly_text(mask), "--json"])
+    for mask in range(2, 1 << 4):
+        out.append(["kernel", "--poly", _poly_text(mask)])
+    for n in (2, 3, 4):
+        for choice in range(1 << (1 << (n - 1))):
+            members = _progressive_members(n, choice)
+            out.append(["analyze", members, "--json"])
+            out.append(["kernel", "--dict", members])
+            if n < 4:
+                out.append(["analyze", members])
+    for n in (2, 3, 4, 5):
+        out.append(["classify", str(n), "--json"])
+        out.append(["classify", str(n)])
+    out += [
+        ["certify", "t", "1+t"],
+        ["certify", "t", "t+t^2", "--json"],
+        ["certify", "t", "1+t", "1+t+t^2", "--json"],
+        ["certify", "1+t+t^3", "t^2"],
+        ["ledrappier", "1101"],
+        ["ledrappier", "1101", "--steps", "2", "--json"],
+        ["ledrappier", "110100", "--steps", "2"],
+        ["ledrappier", "1", "--json"],
+        ["ledrappier", "10", "--steps", "0", "--json"],
+        ["ledrappier", "1101", "--steps", "9"],
+    ]
+    return out
+
+
+def digest(argv) -> str:
+    """The first 16 hex digits of the sha256 of (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_cli_output_matches_the_golden_digests():
+    golden = json.loads(GOLDEN.read_text("utf-8"))
+    table = {" ".join(argv): argv for argv in calls()}
+    assert sorted(table) == sorted(golden)
+    moved = [key for key, argv in table.items() if digest(argv) != golden[key]]
+    assert moved == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_cli.py --write")
+    table = {" ".join(argv): digest(argv) for argv in calls()}
+    GOLDEN.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n", "utf-8")
+    print("%d calls written to %s" % (len(table), GOLDEN))

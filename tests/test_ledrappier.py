@@ -116,6 +116,10 @@ class TestStackOrbit:
         base = Word.from_str("10")
         assert stack_orbit(LEDRAPPIER, base, 0) == (base,)
 
+    def test_negative_steps(self):
+        with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+            stack_orbit(LEDRAPPIER, Word.from_str("1101"), -1)
+
     def test_too_many_steps(self):
         with pytest.raises(WordTooShort):
             stack_orbit(LEDRAPPIER, Word.from_str("1101"), 4)

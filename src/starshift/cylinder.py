@@ -116,6 +116,9 @@ def _as_int64(values) -> np.ndarray:
 
 
 def _reduced(a: np.ndarray, b: np.ndarray, den: int):
+    # No gcd divides a denominator of 1, so its numerators are already reduced.
+    if den == 1:
+        return _as_int64(a), _as_int64(b), 1
     if den <= 0:
         raise ValueError("denominator must be positive")
     g = math.gcd(int(np.gcd.reduce(np.abs(a), axis=None, initial=0)), den)
@@ -272,12 +275,11 @@ def alpha(m: WindowMap, f: CylinderFunction) -> CylinderFunction:
     return CylinderFunction(level, f.num_a[idx], f.num_b[idx], f.den)
 
 
-def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
-    """Encodings of the fiber of each level word, shape (2^out, fibers).
-
-    Column p is the preimage that starts in state p; all columns advance
-    together, one target bit at a time.  A table of words of out + n - 1
-    bits has 2^(out + n - 1) entries, so int32 holds any table that fits.
+def _preimage_walk(m: WindowMap, out_level: int) -> np.ndarray:
+    """`_preimage_table` by the rule: column p starts in state p, and all
+    columns advance together, one target bit at a time.  A table of words
+    of out + n - 1 bits has 2^(out + n - 1) entries, so int32 holds any
+    table that fits.
     """
     mask = (1 << (m.window - 1)) - 1
     flip = _zero_completions(m).astype(np.int32)
@@ -288,6 +290,40 @@ def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
         y <<= 1
         y |= bit
     return y.astype(np.int64)
+
+
+def _steer(flip: list, mask: int, y: int, targets) -> int:
+    """Extend word y, one rule completion per target bit, so its image reads `targets`."""
+    for bit in targets:
+        y = (y << 1) | (flip[y & mask] ^ bit)
+    return y
+
+
+def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
+    """Encodings of the fiber of each level word, shape (2^out, fibers).
+
+    Column p is the preimage that starts in state p, so each row ascends.
+    A linear map's fiber of x is the coset y0(x) xor K: K lists the 2^d
+    kernel words, one per start state, and y0(x), the preimage that starts
+    in state 0, is the xor of one truncated impulse response per set bit
+    of x.  Both tables take out + d array doublings in all, and their
+    generators are single rule walks: they read the rule's completions,
+    not the image table, so a tampered image table still shows.  Nonlinear
+    maps take `_preimage_walk`.
+    """
+    if m.linear_poly is None:
+        return _preimage_walk(m, out_level)
+    d = m.window - 1
+    mask = (1 << d) - 1
+    flip = _zero_completions(m).tolist()
+    impulse = _steer(flip, mask, 0, [1] + [0] * (out_level - 1))
+    y0 = np.zeros(1 << out_level, dtype=np.int64)
+    for j in range(out_level):
+        y0[1 << j : 2 << j] = y0[: 1 << j] ^ (impulse >> (out_level - 1 - j))
+    kernel = np.zeros(1 << d, dtype=np.int64)
+    for i in range(d):
+        kernel[1 << i : 2 << i] = kernel[: 1 << i] ^ _steer(flip, mask, 1 << i, [0] * out_level)
+    return y0[:, None] ^ kernel
 
 
 def transfer(m: WindowMap, f: CylinderFunction) -> CylinderFunction:
@@ -320,8 +356,8 @@ def standard_frame(m: WindowMap) -> list:
         raise NotProgressive("frames exist for progressive rules")
     d = m.window - 1
     root = QuadScalar.root2_power(d)
-    a, b = int(root.a), int(root.b)
-    return [CylinderFunction(d, row * a, row * b, 1) for row in np.eye(1 << d, dtype=np.int64)]
+    num = np.multiply.outer([int(root.a), int(root.b)], np.eye(1 << d, dtype=np.int64))
+    return [CylinderFunction(d, a, b, 1) for a, b in zip(num[0], num[1])]
 
 
 def _fibers(m: WindowMap, level: int) -> np.ndarray:
@@ -342,15 +378,19 @@ def _frame_gram(frame, level: int, den: int):
     """The Gram sum_nu nu(p) nu(p') over level words p, p', exactly.
 
     `den` is a common multiple of the member denominators; the result is
-    the (2^level x 2^level) numerators a, b of (a + b*sqrt2) / den^2.
+    the (2^level x 2^level) numerators a, b of (a + b*sqrt2) / den^2.  The
+    products run in float64 BLAS.  Every entry of the result, and every
+    partial sum on the way, is an integer of size at most 3 * members * top^2
+    for the largest numerator top, so the guard below 2^53 keeps them exact.
     """
     lifted = [nu.embed(level) for nu in frame]
-    a = np.stack([f.num_a * (den // f.den) for f in lifted])
-    b = np.stack([f.num_b * (den // f.den) for f in lifted])
-    top = int(max(np.abs(a).max(), np.abs(b).max()))
-    if 3 * len(frame) * top * top >= 1 << 62:
+    scales = np.array([den // f.den for f in lifted], dtype=np.int64)
+    num = np.array([(f.num_a, f.num_b) for f in lifted]) * scales[:, None, None]
+    top = int(np.abs(num).max())
+    if 3 * len(frame) * top * top >= 1 << 53:
         raise NumeratorOverflow("frame numerators grew unexpectedly large")
-    return a.T @ a + 2 * (b.T @ b), a.T @ b + b.T @ a
+    a, b = num.astype(np.float64).swapaxes(0, 1)
+    return (a.T @ a + 2 * (b.T @ b)).astype(np.int64), (a.T @ b + b.T @ a).astype(np.int64)
 
 
 def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
@@ -367,8 +407,8 @@ def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
     lifted = words >> (prefix - gram1[0].shape[0].bit_length() + 1)
     level2 = gram2[0].shape[0].bit_length() - 1 + m1.window - 1
     pulled = m1.image_table(level2)[words >> (prefix - level2)]
-    a1, b1 = (g[np.ix_(lifted, lifted)] for g in gram1)
-    a2, b2 = (g[np.ix_(pulled, pulled)] for g in gram2)
+    a1, b1 = (g[lifted[:, None], lifted] for g in gram1)
+    a2, b2 = (g[pulled[:, None], pulled] for g in gram2)
     return a1 * a2 + 2 * (b1 * b2), a1 * b2 + b1 * a2
 
 

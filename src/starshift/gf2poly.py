@@ -19,6 +19,10 @@ class ZeroPolynomial(ValueError):
     """Raised where a nonzero polynomial is required."""
 
 
+# The largest exponent `Gf2Poly.parse` reads, far above every degree a budget admits.
+MAX_EXPONENT = 1 << 16
+
+
 def _mul(a: int, b: int) -> int:
     result = 0
     while b:
@@ -84,6 +88,10 @@ class Gf2Poly:
                 e = int(term[2:])
                 if e < 0:
                     raise ValueError("negative exponent in %r" % text)
+                if e > MAX_EXPONENT:
+                    raise ValueError(
+                        "exponent %d over the limit of 2^%d" % (e, MAX_EXPONENT.bit_length() - 1)
+                    )
                 bits ^= 1 << e
             else:
                 raise ValueError("cannot parse polynomial term %r" % term)

@@ -326,12 +326,15 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     S_p has one nonzero entry, c = F^(-1/2), per row, in the column of the
     row's image, so each side is computed from image tables: S_p M_f has
     rows f(img(y)) at column img(y); S_p* M_chi_u S_p is c^2 at the single
-    diagonal entry img(u); S_p* S_q counts the y with a given pair of
+    diagonal entry img(u), against the transfer's fibers, which
+    `_preimage_table` builds from the rule (for a linear generator as the
+    cosets of its kernel); S_p* S_q counts the y with a given pair of
     images and S_q S_p* joins words with equal images; S_p S_p* is c^2 on
-    the pairs of words that share an image.  Frame independence compares
-    the frame Gram of the composite with the entrywise product of the
-    factor Grams, G_i(y, y') G_j(m_i y, m_i y'), which is the Gram of the
-    refined frame.  A failing relation names the first failing indicator u
+    the pairs of words that share an image.  The frame Grams are exact
+    float64 products (`_frame_gram`).  Frame independence compares the
+    frame Gram of the composite standard frame with the entrywise product
+    of the factor Grams, G_i(y, y') G_j(m_i y, m_i y'), which is the Gram
+    of the refined frame.  A failing relation names the first failing indicator u
     (I, II) or frame word b (matrix units) and the row-major first entry of
     the difference of its two sides.  IV and the matrix units decide that
     each generator's frame is a Parseval frame: a broken one fails them.

@@ -375,6 +375,14 @@ class TestTypedErrors:
         assert (code, out) == (2, "")
         assert err == "error: frame numerators grew unexpectedly large\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["kernel", "--poly", "t^100000000000"], ["verify", "1+t^100000000000", "--level", "7"]]
+    )
+    def test_huge_exponent_is_refused_before_allocation(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: exponent 100000000000 over the limit of 2^16\n"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -31,6 +31,7 @@ from starshift import (
     Gf2Poly,
     LevelOperator,
     MonoidElement,
+    NumeratorOverflow,
     PeriodicSeq,
     QuadScalar,
     WindowMap,
@@ -256,6 +257,21 @@ def test_fiber_listing_is_the_preimage_table():
             )
 
 
+LINEAR = [
+    WindowMap.from_poly(Gf2Poly((1 << d) | low)) for d in range(8) for low in range(1 << d)
+]
+
+
+def test_coset_fibers_are_the_rule_walk():
+    """A linear map's fibers as kernel cosets equal the rule walk at output lengths 0-10."""
+    assert len(LINEAR) == 255 and all(m.is_progressive for m in LINEAR)
+    for m in LINEAR:
+        for out in range(11):
+            got = cylinder._preimage_table(m, out)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, cylinder._preimage_walk(m, out)), (m, out)
+
+
 def scaled_member(frame):
     frame = list(frame)
     frame[0] = frame[0].scale(QuadScalar.of(2))
@@ -391,6 +407,48 @@ def gram_of(frame):
 
 
 SMALL = [m for m in PROGRESSIVE if m.window <= 3]
+
+
+def int64_gram(frame, level, den):
+    """The frame Gram by exact int64 products, as `_frame_gram` formed it before BLAS."""
+    lifted = [nu.embed(level) for nu in frame]
+    a = np.stack([f.num_a * (den // f.den) for f in lifted])
+    b = np.stack([f.num_b * (den // f.den) for f in lifted])
+    return a.T @ a + 2 * (b.T @ b), a.T @ b + b.T @ a
+
+
+def test_float_gram_is_the_int64_gram():
+    """The float64 Gram is exact on every standard frame of windows 1-6 and every broken variant."""
+    for window in range(1, 7):
+        real = standard_frame(WindowMap.from_poly(Gf2Poly(1 << (window - 1))))
+        frames = [real] + [broken(real) for broken in BROKEN_FRAMES if window > 1]
+        for frame in frames:
+            prefix = max(nu.level for nu in frame)
+            den = math.lcm(*(nu.den for nu in frame))
+            for level, scale in ((prefix, 1), (prefix + 1, 3)):
+                got = cylinder._frame_gram(frame, level, den * scale)
+                want = int64_gram(frame, level, den * scale)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int64 and np.array_equal(g, w), (window, len(frame))
+
+
+@pytest.mark.parametrize("members", [1, 2, 5])
+def test_frame_gram_guard_is_exact_at_its_bound(members):
+    """The guard admits 3 M top^2 < 2^53, where the float64 Gram is still exact, and refuses the rest."""
+    top = math.isqrt(((1 << 53) - 1) // (3 * members))
+    assert 3 * members * top * top < 1 << 53 <= 3 * members * (top + 1) ** 2
+    for value in (top, top + 1):
+        num = np.array([value, 1], dtype=np.int64)
+        member = CylinderFunction(1, num, num.copy(), 1)
+        frame = [member] * members
+        if value == top:
+            ga, gb = cylinder._frame_gram(frame, 1, 1)
+            assert int(ga[0, 0]) == 3 * members * top * top
+            assert int(gb[0, 0]) == 2 * members * top * top
+            assert all(np.array_equal(g, w) for g, w in zip((ga, gb), int64_gram(frame, 1, 1)))
+        else:
+            with pytest.raises(NumeratorOverflow, match="^frame numerators grew"):
+                cylinder._frame_gram(frame, 1, 1)
 
 
 @pytest.mark.parametrize("broken", [list, scaled_member, spread_member])

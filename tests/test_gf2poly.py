@@ -65,6 +65,11 @@ class TestParseFormat:
         assert Gf2Poly.parse("t^1") == Gf2Poly.t()
         assert Gf2Poly.parse("t+t").is_zero
 
+    def test_parse_bounds_the_exponent(self):
+        assert Gf2Poly.parse("1+t^65536").degree == 1 << 16
+        with pytest.raises(ValueError, match="^exponent 65537 over the limit of 2\\^16$"):
+            Gf2Poly.parse("1+t^65537")
+
     def test_parse_rejects_junk(self):
         for text in ("", "2", "x", "t^-1", "t^", "1++t", "t2"):
             with pytest.raises(ValueError):

@@ -97,6 +97,20 @@ def test_cli_output_matches_the_golden_digests():
     assert moved == []
 
 
+# sha256 of the stdout of `verify t 1+t^2+t^5 --level 10 --json` (exit 0, no stderr),
+# as the int64 frame Grams printed it.
+DEGREE_FIVE_SHA256 = "009729283c6971d16c2df85ae8b8566d7e2856aed46277afd44263f7b6f90f35"
+
+
+def test_degree_five_verify_is_byte_identical():
+    """A degree-5 generator, at its smallest level, prints the same report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "t", "1+t^2+t^5", "--level", "10", "--json"])
+    assert (code, err.getvalue()) == (0, "")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DEGREE_FIVE_SHA256
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_cli.py --write")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .dictionary import (
@@ -305,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command == "analyze":
             payload = _analysis_payload(Dictionary.from_text(args.dictionary))
@@ -322,14 +324,20 @@ def main(argv=None) -> int:
             payload = _relations_payload(args.polys, args.level)
             _emit(payload, args.json, _render_relations)
             if not all(payload["relations"].values()):
-                return 1
+                code = 1
         elif args.command == "ledrappier":
             payload = _ledrappier_payload(args.base, args.steps)
             _emit(payload, args.json, _render_ledrappier)
+        # A reader that closed the pipe early shows up here, not at exit.
+        sys.stdout.flush()
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 0
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ where E = alpha after transfer is the conditional expectation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +111,8 @@ class QuadScalar:
 
 
 def _as_int64(values) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and not values.flags.writeable:
+        return values
     arr = np.asarray(values, dtype=np.int64)
     arr.setflags(write=False)
     return arr
@@ -350,14 +353,29 @@ def inner_product(m: WindowMap, f: CylinderFunction, g: CylinderFunction) -> Cyl
     return transfer(m, f * g)
 
 
-def standard_frame(m: WindowMap) -> list:
-    """The frame sqrt(fibers) * indicator(w) over words of length n-1."""
-    if not m.is_progressive:
-        raise NotProgressive("frames exist for progressive rules")
-    d = m.window - 1
+# One entry per degree 0-10, every degree the relation suite's GRAM_BUDGET admits.
+@functools.lru_cache(maxsize=11)
+def _standard_members(d: int) -> tuple:
+    """The degree-d standard frame members, built once.
+
+    Member w is sqrt(2^d) times the indicator of w.  Its numerators are
+    row w of one (2, 2^d, 2^d) block that lives in an immutable bytes
+    buffer, so neither a member's arrays nor the block can be made writeable.
+    """
     root = QuadScalar.root2_power(d)
     num = np.multiply.outer([int(root.a), int(root.b)], np.eye(1 << d, dtype=np.int64))
-    return [CylinderFunction(d, a, b, 1) for a, b in zip(num[0], num[1])]
+    block = np.frombuffer(num.tobytes(), dtype=np.int64).reshape(num.shape)
+    return tuple(CylinderFunction(d, a, b, 1) for a, b in zip(block[0], block[1]))
+
+
+def standard_frame(m: WindowMap) -> list:
+    """The frame sqrt(fibers) * indicator(w) over words of length n-1.
+
+    A fresh list of the immutable members every map of the same degree shares.
+    """
+    if not m.is_progressive:
+        raise NotProgressive("frames exist for progressive rules")
+    return list(_standard_members(m.window - 1))
 
 
 def _fibers(m: WindowMap, level: int) -> np.ndarray:
@@ -374,6 +392,38 @@ def _pairs(left: np.ndarray, right: np.ndarray):
     return np.repeat(left, right.shape[1], axis=1).ravel(), np.tile(right, left.shape[1]).ravel()
 
 
+def _frame_stack(frame, level: int, den: int) -> np.ndarray:
+    """The members' numerators over `den` at `level`, shape (2, members, 2^level).
+
+    Row nu of the first plane holds the rational numerators of member nu,
+    of the second its sqrt2 numerators, as float64 (exact while they stay
+    below 2^53).  The frame is stacked once at its members' common level
+    and then lifted to `level` by one column gather.
+    """
+    common = max(nu.level for nu in frame)
+    if level < common:
+        raise ValueError("cannot embed into a coarser level")
+    if any(nu.level != common for nu in frame):
+        frame = [nu.embed(common) for nu in frame]
+    num = np.array([[nu.num_a for nu in frame], [nu.num_b for nu in frame]], dtype=np.float64)
+    dens = [nu.den for nu in frame]
+    if any(e != den for e in dens):
+        num *= np.array([den // e for e in dens], dtype=np.float64)[:, None]
+    if level > common:
+        num = num[:, :, np.arange(1 << level, dtype=np.int64) >> (level - common)]
+    return num
+
+
+def _stack_gram(num: np.ndarray):
+    """The Gram numerators of a `_frame_stack`: sum over its rows nu of nu(p) nu(p')."""
+    a, b = num
+    top = int(max(num.max(initial=0), -num.min(initial=0)))
+    if 3 * a.shape[0] * top * top >= 1 << 53:
+        raise NumeratorOverflow("frame numerators grew unexpectedly large")
+    ab = a.T @ b
+    return (a.T @ a + 2 * (b.T @ b)).astype(np.int64), (ab + ab.T).astype(np.int64)
+
+
 def _frame_gram(frame, level: int, den: int):
     """The Gram sum_nu nu(p) nu(p') over level words p, p', exactly.
 
@@ -383,14 +433,7 @@ def _frame_gram(frame, level: int, den: int):
     partial sum on the way, is an integer of size at most 3 * members * top^2
     for the largest numerator top, so the guard below 2^53 keeps them exact.
     """
-    lifted = [nu.embed(level) for nu in frame]
-    scales = np.array([den // f.den for f in lifted], dtype=np.int64)
-    num = np.array([(f.num_a, f.num_b) for f in lifted]) * scales[:, None, None]
-    top = int(np.abs(num).max())
-    if 3 * len(frame) * top * top >= 1 << 53:
-        raise NumeratorOverflow("frame numerators grew unexpectedly large")
-    a, b = num.astype(np.float64).swapaxes(0, 1)
-    return (a.T @ a + 2 * (b.T @ b)).astype(np.int64), (a.T @ b + b.T @ a).astype(np.int64)
+    return _stack_gram(_frame_stack(frame, level, den))
 
 
 def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
@@ -409,7 +452,14 @@ def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
     pulled = m1.image_table(level2)[words >> (prefix - level2)]
     a1, b1 = (g[lifted[:, None], lifted] for g in gram1)
     a2, b2 = (g[pulled[:, None], pulled] for g in gram2)
-    return a1 * a2 + 2 * (b1 * b2), a1 * b2 + b1 * a2
+    # The gathered blocks are copies: reuse them, so fewer full-size products are alive at once.
+    ra = b1 * b2
+    ra *= 2
+    ra += a1 * a2
+    a1 *= b2
+    b1 *= a2
+    a1 += b1
+    return ra, a1
 
 
 def _fiber_gram(m: WindowMap, level: int, prefix: int, ga: np.ndarray, gb: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2poly import Gf2Poly, _kernel_walk
+from .gf2poly import Gf2Poly, _check_listing, _kernel_walk
 from .words import PeriodicSeq, Word, _check_bits
 
 
@@ -369,9 +369,10 @@ def kernel_elements(d: Dictionary) -> list:
     rule's completion to 0 gives the next symbol, so the kernel is one
     walk over the 2^(n-1) states of that completion.
     """
+    width = d.window - 1
+    _check_listing(width)
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))
-    width = d.window - 1
     # Python ints: the walk's period shifts outgrow 64 bits.
     return _kernel_walk(width, _zero_completions(m).tolist())

@@ -19,8 +19,16 @@ class ZeroPolynomial(ValueError):
     """Raised where a nonzero polynomial is required."""
 
 
+class KernelTooLarge(ValueError):
+    """A kernel listing would exceed KERNEL_BUDGET symbols."""
+
+
 # The largest exponent `Gf2Poly.parse` reads, far above every degree a budget admits.
 MAX_EXPONENT = 1 << 16
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
+
+# The most symbols a kernel listing may hold: 2^12 (12 + 2^12) fits, so every degree up to 12 lists.
+KERNEL_BUDGET = 1 << 25
 
 
 def _mul(a: int, b: int) -> int:
@@ -84,15 +92,14 @@ class Gf2Poly:
                 bits ^= 1
             elif term == "t":
                 bits ^= 2
-            elif term.startswith("t^"):
-                e = int(term[2:])
-                if e < 0:
-                    raise ValueError("negative exponent in %r" % text)
-                if e > MAX_EXPONENT:
+            elif term.startswith("t^") and term[2:].isascii() and term[2:].isdigit():
+                # Compare the digit count first: `int` refuses over 4300 digits.
+                digits = term[2:].lstrip("0") or "0"
+                if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
                     raise ValueError(
-                        "exponent %d over the limit of 2^%d" % (e, MAX_EXPONENT.bit_length() - 1)
+                        "exponent %s over the limit of 2^%d" % (digits, MAX_EXPONENT.bit_length() - 1)
                     )
-                bits ^= 1 << e
+                bits ^= 1 << int(digits)
             else:
                 raise ValueError("cannot parse polynomial term %r" % term)
         return cls(bits)
@@ -186,6 +193,20 @@ def poly_factor(a: Gf2Poly) -> Factorization:
     return Factorization(tuple(factors))
 
 
+def _check_listing(width: int) -> None:
+    """Refuse a kernel on `width`-bit states whose listing may exceed KERNEL_BUDGET.
+
+    It has 2^width elements, each a preperiod of at most width symbols and a
+    period of at most 2^width, so 2^width (width + 2^width) symbols bound it.
+    """
+    if (1 << width) * (width + (1 << width)) > KERNEL_BUDGET:
+        raise KernelTooLarge(
+            "a degree-%d kernel lists 2^%d elements of up to %d + 2^%d symbols, "
+            "over the budget of 2^%d symbols"
+            % (width, width, width, width, KERNEL_BUDGET.bit_length() - 1)
+        )
+
+
 def _kernel_walk(width: int, next_bit) -> list:
     """The sequences of a progressive rule on `width`-bit states, sorted.
 
@@ -241,6 +262,7 @@ def recurrence_kernel(a: Gf2Poly) -> list:
     d = a.degree
     if d == 0:
         return [PeriodicSeq.zero()]
+    _check_listing(d)
     # State bit d-1-j holds x_{k+j}, so the taps are the low bits reversed.
     taps = int(format(a.bits & ((1 << d) - 1), "0%db" % d)[::-1], 2)
     return _kernel_walk(d, [(state & taps).bit_count() & 1 for state in range(1 << d)])

@@ -27,10 +27,12 @@ from .cylinder import (
     _fiber_gram,
     _fibers,
     _frame_gram,
+    _frame_stack,
     _pairs,
     _preimage_table,
     _reduced,
     _refined_gram,
+    _stack_gram,
     alpha,
     standard_frame,
 )
@@ -407,7 +409,8 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         prefix = max(nu.level for nu in frame)
         den = math.lcm(*(nu.den for nu in frame))
         scale = fibers * den * den
-        gram = _frame_gram(frame, prefix, den)
+        num = _frame_stack(frame, prefix, den)
+        gram = _stack_gram(num)
         frames.append((prefix, den, gram))
         rows, cols, ga, gb = _fiber_gram(m, k, prefix, *gram)
         found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
@@ -420,8 +423,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         per_prefix = np.bincount(
             (words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
         ).reshape(fibers, -1)
-        lifted = [nu.embed(prefix) for nu in frame]
-        support = np.stack([(f.num_a | f.num_b) != 0 for f in lifted])
+        support = (num[0] != 0) | (num[1] != 0)
         shared = (support & (support.sum(axis=0) > 1)).any(axis=1)
         for b in range(len(frame)):
             bad = per_prefix[b][low] != 1

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -14,7 +15,9 @@ import pytest
 import starshift
 from starshift import (
     CylinderFunction,
+    Dictionary,
     Gf2Poly,
+    WindowMap,
     classify_dictionary,
     enumerate_dictionaries,
     star_commutes_on_kernel,
@@ -382,6 +385,60 @@ class TestTypedErrors:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "error: exponent 100000000000 over the limit of 2^16\n"
+
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [
+            ("t^1_0", "cannot parse polynomial term 't^1_0'"),
+            ("1+t^\u0663", "cannot parse polynomial term 't^\u0663'"),
+            ("t^+3", "cannot parse polynomial term 't^'"),
+            ("t^" + "9" * 5000, "exponent %s over the limit of 2^16" % ("9" * 5000)),
+            ("t^00065537", "exponent 65537 over the limit of 2^16"),
+        ],
+        ids=["underscore", "arabic-indic-digit", "signed", "5000-digits", "leading-zeros"],
+    )
+    def test_exponents_are_ascii_digits_within_the_limit(self, capsys, poly, message):
+        code, out, err = run(capsys, ["kernel", "--poly", poly])
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("poly, degree", [("t^40", 40), ("1+t^26", 26), ("1+t^13", 13)])
+    def test_kernel_listing_over_budget_exits_2_at_once(self, capsys, poly, degree):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["kernel", "--poly", poly])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a degree-%d kernel lists 2^%d elements of up to %d + 2^%d symbols, "
+            "over the budget of 2^25 symbols\n" % (degree, degree, degree, degree)
+        )
+
+    def test_dictionary_kernel_over_budget_exits_2(self, capsys):
+        text = str(Dictionary(14, WindowMap.from_poly(Gf2Poly(1 << 13)).rule))
+        for argv in (["kernel", "--dict", text], ["analyze", text]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: a degree-13 kernel lists 2^13 elements"), argv
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        src = os.path.dirname(os.path.dirname(starshift.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # 512 lines of up to 520 symbols: far more than a pipe buffer holds.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starshift.cli", "kernel", "--poly", "1+t^4+t^9"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first == b"polynomial 1+t^4+t^9: 512 kernel elements\n"
+        assert err == b""
 
 
 class TestConsoleScript:

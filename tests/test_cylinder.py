@@ -28,7 +28,7 @@ from starshift import (
     verify_frame,
     verify_relations,
 )
-from starshift.cylinder import _refined_gram
+from starshift.cylinder import _refined_gram, _standard_members
 
 SHIFT = WindowMap.shift()
 XOR2 = WindowMap.from_poly(Gf2Poly.parse("1+t"))
@@ -386,6 +386,44 @@ class TestStandardFrame:
             old = CylinderFunction.indicator(Word(d, v)).scale(root)
             assert (nu.level, nu.den) == (old.level, old.den)
             assert np.array_equal(nu.num_a, old.num_a) and np.array_equal(nu.num_b, old.num_b)
+
+
+class TestStandardMembers:
+    """The standard members of each degree are built once and shared read-only."""
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_memoized_members_are_the_scaled_indicators(self, d):
+        _standard_members.cache_clear()
+        m = WindowMap.from_poly(Gf2Poly(1 << d))
+        root = QuadScalar.root2_power(d)
+        first, second = standard_frame(m), standard_frame(m)
+        assert _standard_members.cache_info().misses == 1
+        for fam in (first, second):
+            assert len(fam) == 1 << d
+            for v, nu in enumerate(fam):
+                fresh = CylinderFunction.indicator(Word(d, v)).scale(root)
+                assert (nu.level, nu.den) == (fresh.level, fresh.den)
+                assert np.array_equal(nu.num_a, fresh.num_a)
+                assert np.array_equal(nu.num_b, fresh.num_b)
+
+    def test_changing_a_returned_list_leaves_the_next_unchanged(self):
+        fam = standard_frame(LED)
+        members = list(fam)
+        fam[0] = fam[0].scale(QuadScalar.of(2))
+        fam.append(fam[1])
+        del fam[2]
+        again = standard_frame(LED)
+        assert again is not fam
+        assert len(again) == len(members)
+        assert all(a is b for a, b in zip(again, members))
+
+    def test_member_arrays_cannot_be_made_writeable(self):
+        for m in (SHIFT, LED, WindowMap.from_poly(Gf2Poly(1 << 3))):
+            for nu in standard_frame(m):
+                for arr in (nu.num_a, nu.num_b, nu.num_a.base, nu.num_b.base):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr.setflags(write=True)
 
 
 class TestVerifyFrame:

@@ -432,6 +432,23 @@ def test_float_gram_is_the_int64_gram():
                     assert g.dtype == np.int64 and np.array_equal(g, w), (window, len(frame))
 
 
+def test_stacked_gram_is_the_int64_gram_on_mixed_members():
+    """Members of mixed levels and denominators stack, lift and rescale to the int64 Gram."""
+    third = CylinderFunction.from_values(0, [Fraction(1, 3)])
+    half = CylinderFunction.from_values(1, [Fraction(1, 2), QuadScalar.of(0, Fraction(-3, 2))])
+    for window in range(1, 5):
+        real = standard_frame(WindowMap.from_poly(Gf2Poly(1 << (window - 1))))
+        for frame in ([third] + real, real + [half], [half, third] + real, [third, half]):
+            prefix = max(nu.level for nu in frame)
+            den = math.lcm(*(nu.den for nu in frame))
+            assert len({nu.level for nu in frame}) > 1 or len({nu.den for nu in frame}) > 1
+            for level, scale in ((prefix, 1), (prefix + 1, 1), (prefix + 2, 5)):
+                got = cylinder._frame_gram(frame, level, den * scale)
+                want = int64_gram(frame, level, den * scale)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int64 and np.array_equal(g, w), (window, len(frame), level)
+
+
 @pytest.mark.parametrize("members", [1, 2, 5])
 def test_frame_gram_guard_is_exact_at_its_bound(members):
     """The guard admits 3 M top^2 < 2^53, where the float64 Gram is still exact, and refuses the rest."""

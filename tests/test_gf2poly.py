@@ -4,7 +4,16 @@ import itertools
 
 import pytest
 
-from starshift import Gf2Poly, PeriodicSeq, ZeroPolynomial, poly_factor, poly_gcd, recurrence_kernel
+import starshift.gf2poly as gf2poly
+from starshift import (
+    Gf2Poly,
+    KernelTooLarge,
+    PeriodicSeq,
+    ZeroPolynomial,
+    poly_factor,
+    poly_gcd,
+    recurrence_kernel,
+)
 
 
 def poly_from_coeffs(coeffs):
@@ -69,6 +78,15 @@ class TestParseFormat:
         assert Gf2Poly.parse("1+t^65536").degree == 1 << 16
         with pytest.raises(ValueError, match="^exponent 65537 over the limit of 2\\^16$"):
             Gf2Poly.parse("1+t^65537")
+
+    def test_parse_reads_only_ascii_digit_exponents(self):
+        assert Gf2Poly.parse("t^007") == Gf2Poly.parse("t^7")
+        for text in ("t^1_0", "t^\u0663", "t^\u00b2", "t^+3", "t^3.0", "t^0x3"):
+            with pytest.raises(ValueError, match="^cannot parse polynomial term"):
+                Gf2Poly.parse(text)
+        huge = "9" * 5000
+        with pytest.raises(ValueError, match="^exponent %s over the limit of 2\\^16$" % huge):
+            Gf2Poly.parse("t^" + huge)
 
     def test_parse_rejects_junk(self):
         for text in ("", "2", "x", "t^-1", "t^", "1++t", "t2"):
@@ -246,3 +264,18 @@ class TestRecurrenceKernel:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             recurrence_kernel(Gf2Poly.zero())
+
+    def test_listing_budget_admits_degree_12_and_refuses_13(self):
+        assert (1 << 12) * (12 + (1 << 12)) <= gf2poly.KERNEL_BUDGET < (1 << 13) * (13 + (1 << 13))
+        gf2poly._check_listing(12)
+        with pytest.raises(KernelTooLarge, match="^a degree-13 kernel lists 2\\^13 elements"):
+            gf2poly._check_listing(13)
+
+    def test_over_budget_kernel_is_refused_before_the_walk(self, monkeypatch):
+        def refuse(width, next_bit):
+            raise AssertionError("the kernel walk ran")
+
+        monkeypatch.setattr(gf2poly, "_kernel_walk", refuse)
+        for text in ("1+t^13", "t^40", "1+t^65536"):
+            with pytest.raises(KernelTooLarge):
+                recurrence_kernel(Gf2Poly.parse(text))

@@ -312,6 +312,30 @@ class TestVerifyRelations:
         with pytest.raises(NotProgressive, match="isometries need a progressive rule"):
             verify_relations(sys, 14)
 
+    def test_second_verify_builds_no_frame_member(self, monkeypatch):
+        """Standard members are built once per degree: a repeated verify builds none."""
+        import starshift.cylinder as cylinder
+
+        builds = []
+        post_init = CylinderFunction.__post_init__
+
+        def counted(self):
+            builds.append(self.level)
+            post_init(self)
+
+        monkeypatch.setattr(CylinderFunction, "__post_init__", counted)
+        cylinder._standard_members.cache_clear()
+        sys = DynamicalSystem.from_polys([T, LED_POLY, Gf2Poly.parse("1+t^2")], ["a", "b", "c"])
+        counts = []
+        for _ in range(2):
+            builds.clear()
+            verify_relations(sys, 7)
+            counts.append(len(builds))
+        # Degrees 1 and 2 for the generators, 2, 3 and 4 for their products.
+        members = sum(1 << d for d in (1, 2, 3, 4))
+        assert counts[0] - counts[1] == members == 30
+        assert cylinder._standard_members.cache_info().misses == 4
+
     def test_deterministic(self):
         sys = DynamicalSystem.from_polys([T, T + T * T], ["sigma", "theta"])
         assert verify_relations(sys, 6) == verify_relations(sys, 6)

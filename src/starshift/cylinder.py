@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,11 @@ class QuadScalar:
     @classmethod
     def of(cls, a, b=0) -> "QuadScalar":
         return cls(Fraction(a), Fraction(b))
+
+    @classmethod
+    def over(cls, a, b, den: int) -> "QuadScalar":
+        """(a + b*sqrt2) / den from integer numerators."""
+        return cls(Fraction(int(a), den), Fraction(int(b), den))
 
     @classmethod
     def root2_power(cls, k: int) -> "QuadScalar":
@@ -91,10 +97,7 @@ class QuadScalar:
         return QuadScalar(-self.a, -self.b)
 
     def __mul__(self, other: "QuadScalar") -> "QuadScalar":
-        return QuadScalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        return QuadScalar(*_times(self.a, self.b, other.a, other.b))
 
     def __str__(self):
         if self.is_zero:
@@ -110,6 +113,11 @@ class QuadScalar:
         return "".join(parts)
 
 
+def _times(a1, b1, a2, b2, mul=operator.mul):
+    """The numerators of (a1 + b1*sqrt2)(a2 + b2*sqrt2), with `mul` as the product."""
+    return mul(a1, a2) + 2 * mul(b1, b2), mul(a1, b2) + mul(b1, a2)
+
+
 def _as_int64(values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == np.int64 and not values.flags.writeable:
         return values
@@ -118,28 +126,64 @@ def _as_int64(values) -> np.ndarray:
     return arr
 
 
-def _reduced(a: np.ndarray, b: np.ndarray, den: int):
-    # No gcd divides a denominator of 1, so its numerators are already reduced.
-    if den == 1:
-        return _as_int64(a), _as_int64(b), 1
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    g = math.gcd(int(np.gcd.reduce(np.abs(a), axis=None, initial=0)), den)
-    g = math.gcd(int(np.gcd.reduce(np.abs(b), axis=None, initial=0)), g)
-    if g > 1:
-        a, b, den = a // g, b // g, den // g
-    return _as_int64(a), _as_int64(b), den
+class _Numerators:
+    """Exact values (num_a + num_b*sqrt2) / den: two int64 arrays over one positive den.
 
+    Shared by cylinder functions and level operators.  `_freeze` stores the
+    reduced, read-only form; `_guard` keeps numerators below 2^_BITS, far
+    from the int64 edge, before a product or sum forms.
+    """
 
-def _guard(*arrays):
-    # Keep numerators far from the int64 edge before forming products.
-    for arr in arrays:
-        if arr.size and int(np.abs(arr).max()) >= 1 << 30:
-            raise NumeratorOverflow("cylinder numerators grew unexpectedly large")
+    _BITS = 30
+    _KIND = "cylinder"
+
+    def _freeze(self):
+        a, b, den = self.num_a, self.num_b, self.den
+        # No gcd divides a denominator of 1, so its numerators are already reduced.
+        if den != 1:
+            if den <= 0:
+                raise ValueError("denominator must be positive")
+            g = math.gcd(int(np.gcd.reduce(np.abs(a), axis=None, initial=0)), den)
+            g = math.gcd(int(np.gcd.reduce(np.abs(b), axis=None, initial=0)), g)
+            if g > 1:
+                a, b, den = a // g, b // g, den // g
+        object.__setattr__(self, "num_a", _as_int64(a))
+        object.__setattr__(self, "num_b", _as_int64(b))
+        object.__setattr__(self, "den", den)
+
+    def _guard(self, *arrays):
+        for arr in (self.num_a, self.num_b, *arrays):
+            if arr.size and int(np.abs(arr).max()) >= 1 << self._BITS:
+                raise NumeratorOverflow("%s numerators grew unexpectedly large" % self._KIND)
+
+    def _sum(self, other) -> tuple:
+        """The numerators and denominator of self + other, over den * other.den."""
+        self._guard(other.num_a, other.num_b)
+        return (
+            self.num_a * other.den + other.num_a * self.den,
+            self.num_b * other.den + other.num_b * self.den,
+            self.den * other.den,
+        )
+
+    def _product(self, a, b, den: int, mul=operator.mul) -> tuple:
+        """The numerators and denominator of self times (a + b*sqrt2) / den."""
+        self._guard(a, b)
+        return (*_times(self.num_a, self.num_b, a, b, mul), self.den * den)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num_a.any() and not self.num_b.any()
+
+    def _same(self, other) -> bool:
+        return (
+            self.den == other.den
+            and np.array_equal(self.num_a, other.num_a)
+            and np.array_equal(self.num_b, other.num_b)
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class CylinderFunction:
+class CylinderFunction(_Numerators):
     """A level-k cylinder function with exact a + b*sqrt2 values."""
 
     level: int
@@ -153,10 +197,7 @@ class CylinderFunction:
         size = 1 << self.level
         if self.num_a.shape != (size,) or self.num_b.shape != (size,):
             raise ValueError("value arrays must have length 2^level")
-        a, b, den = _reduced(self.num_a, self.num_b, self.den)
-        object.__setattr__(self, "num_a", a)
-        object.__setattr__(self, "num_b", b)
-        object.__setattr__(self, "den", den)
+        self._freeze()
 
     @classmethod
     def from_values(cls, level: int, values) -> "CylinderFunction":
@@ -187,22 +228,12 @@ class CylinderFunction:
     def value_at(self, w: Word) -> QuadScalar:
         if w.length < self.level:
             raise ValueError("word shorter than the function level")
-        v = w.prefix(self.level)
-        return QuadScalar(
-            Fraction(int(self.num_a[v.bits]), self.den),
-            Fraction(int(self.num_b[v.bits]), self.den),
-        )
+        v = w.prefix(self.level).bits
+        return QuadScalar.over(self.num_a[v], self.num_b[v], self.den)
 
     @property
     def values(self) -> tuple:
-        return tuple(
-            QuadScalar(Fraction(int(a), self.den), Fraction(int(b), self.den))
-            for a, b in zip(self.num_a, self.num_b)
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num_a.any() and not self.num_b.any()
+        return tuple(QuadScalar.over(a, b, self.den) for a, b in zip(self.num_a, self.num_b))
 
     def embed(self, level: int) -> "CylinderFunction":
         """The same function seen at a finer level."""
@@ -219,13 +250,7 @@ class CylinderFunction:
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         f, g = self._aligned(other)
-        _guard(f.num_a, f.num_b, g.num_a, g.num_b)
-        return CylinderFunction(
-            f.level,
-            f.num_a * g.den + g.num_a * f.den,
-            f.num_b * g.den + g.num_b * f.den,
-            f.den * g.den,
-        )
+        return CylinderFunction(f.level, *f._sum(g))
 
     def __sub__(self, other: "CylinderFunction") -> "CylinderFunction":
         return self + (-other)
@@ -235,13 +260,7 @@ class CylinderFunction:
 
     def __mul__(self, other: "CylinderFunction") -> "CylinderFunction":
         f, g = self._aligned(other)
-        _guard(f.num_a, f.num_b, g.num_a, g.num_b)
-        return CylinderFunction(
-            f.level,
-            f.num_a * g.num_a + 2 * f.num_b * g.num_b,
-            f.num_a * g.num_b + f.num_b * g.num_a,
-            f.den * g.den,
-        )
+        return CylinderFunction(f.level, *f._product(g.num_a, g.num_b, g.den))
 
     def scale(self, s: QuadScalar) -> "CylinderFunction":
         return self * CylinderFunction.from_values(0, [s])
@@ -250,11 +269,7 @@ class CylinderFunction:
         if not isinstance(other, CylinderFunction):
             return NotImplemented
         f, g = self._aligned(other)
-        return (
-            f.den == g.den
-            and np.array_equal(f.num_a, g.num_a)
-            and np.array_equal(f.num_b, g.num_b)
-        )
+        return f._same(g)
 
     def serialize(self) -> dict:
         return {"level": self.level, "values": [str(v) for v in self.values]}
@@ -337,7 +352,7 @@ def transfer(m: WindowMap, f: CylinderFunction) -> CylinderFunction:
     out_level = max(k - m.window + 1, 0)
     depth = out_level + m.window - 1
     table = _preimage_table(m, out_level) >> (depth - k)
-    _guard(f.num_a, f.num_b)
+    f._guard()
     a = f.num_a[table].sum(axis=1)
     b = f.num_b[table].sum(axis=1)
     return CylinderFunction(out_level, a, b, f.den * m.fiber_count)

@@ -12,6 +12,7 @@ their indicator is linear and is described by a polynomial over GF(2).
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class Dictionary:
         n = words[0].length
         if any(w.length != n for w in words):
             raise ValueError("dictionary words must share one length")
-        return cls(n, sum({1 << w.bits for w in words}))
+        return cls._from_values(n, [w.bits for w in words])
 
     @classmethod
     def from_text(cls, text: str) -> "Dictionary":
@@ -66,20 +67,41 @@ class Dictionary:
             _check_bits(part)
         if any(len(part) != len(parts[0]) for part in parts):
             raise ValueError("dictionary words must share one length")
-        return cls(len(parts[0]), sum({1 << int("0" + part, 2) for part in parts}))
+        return cls._from_values(len(parts[0]), [int("0" + part, 2) for part in parts])
+
+    @classmethod
+    def _from_values(cls, window: int, values) -> "Dictionary":
+        """The dictionary of these member values, its mask set in one pass.
+
+        The window is checked against TABLE_BUDGET first, as the rule of a
+        window-n map is a table of 2^n entries.
+        """
+        if window > TABLE_BUDGET.bit_length() - 1:
+            raise WindowTooLarge(
+                "window %d needs a rule table of 2^%d entries, over the budget of 2^%d"
+                % (window, window, TABLE_BUDGET.bit_length() - 1)
+            )
+        mask = bytearray(((1 << window) + 7) // 8)
+        for v in values:
+            mask[v >> 3] |= 1 << (v & 7)
+        return cls(window, int.from_bytes(mask, "little"))
 
     def __contains__(self, w: Word) -> bool:
         return w.length == self.window and bool((self.members >> w.bits) & 1)
 
+    def _values(self) -> list:
+        """The member values, ascending: the positions of the 1s in the mask's binary text."""
+        return [m.start() for m in re.finditer("1", bin(self.members)[:1:-1])]
+
     def words(self) -> list:
-        return [Word(self.window, v) for v in range(1 << self.window) if (self.members >> v) & 1]
+        return [Word(self.window, v) for v in self._values()]
 
     def to_window_map(self) -> "WindowMap":
         return WindowMap(self.window, self.members, _linear_poly(self.window, self.members))
 
     def __str__(self):
         spec = "0%db" % self.window
-        return ",".join(format(v, spec) for v in range(1 << self.window) if (self.members >> v) & 1)
+        return ",".join([format(v, spec) for v in self._values()])
 
 
 def _linear_table(window: int, coeffs: int) -> int:
@@ -250,6 +272,10 @@ def apply_window_map(m, w: Word) -> Word:
     for j in range(w.length - n + 1):
         out = (out << 1) | m.rule_bit((w.bits >> (w.length - n - j)) & mask)
     return Word(w.length - n + 1, out)
+
+
+# The most table entries one check may build: image tables, rule tables, frames.
+TABLE_BUDGET = 1 << 24
 
 
 # Bounded, so the tables of one run are reused without keeping every

@@ -9,7 +9,8 @@ relation suite works on that form, so every product of isometries, their
 adjoints and multiplication operators is a count or a join over image
 tables, compared exactly; its cost grows like the largest table,
 2^(k+n-1) entries.  `LevelOperator` is the dense form, two integer
-matrices (rational and sqrt2 numerators) over one positive denominator.
+matrices (rational and sqrt2 numerators) over one positive denominator,
+with the exact arithmetic of cylinder functions (`cylinder._Numerators`).
 """
 
 from __future__ import annotations
@@ -28,21 +29,21 @@ from .cylinder import (
     _fibers,
     _frame_gram,
     _frame_stack,
+    _Numerators,
     _pairs,
     _preimage_table,
-    _reduced,
     _refined_gram,
     _stack_gram,
+    _times,
     alpha,
     standard_frame,
 )
-from .dictionary import NotProgressive, WindowMap
+from .dictionary import TABLE_BUDGET, NotProgressive, WindowMap
 from .gf2poly import Gf2Poly, poly_gcd
 from .starcomm import DynamicalSystem, InvalidSystem, MonoidElement, _coprimality_witnesses
 from .words import PeriodicSeq, Word
 
-# The most table or frame entries, and frame Gram multiply-adds, one check may need.
-TABLE_BUDGET = 1 << 24
+# The most frame Gram multiply-adds one check may need; TABLE_BUDGET bounds its tables.
 GRAM_BUDGET = 1 << 30
 
 
@@ -79,15 +80,12 @@ class NoSeparation(ValueError):
     """No cylinder prefix of the given point separates the two maps."""
 
 
-def _guard(*arrays):
-    for arr in arrays:
-        if arr.size and int(np.abs(arr).max()) >= 1 << 24:
-            raise NumeratorOverflow("matrix numerators grew unexpectedly large")
-
-
 @dataclass(frozen=True, eq=False)
-class LevelOperator:
+class LevelOperator(_Numerators):
     """A linear map from level-source to level-target cylinder functions."""
+
+    _BITS = 24
+    _KIND = "matrix"
 
     source_level: int
     target_level: int
@@ -99,10 +97,7 @@ class LevelOperator:
         shape = (1 << self.target_level, 1 << self.source_level)
         if self.num_a.shape != shape or self.num_b.shape != shape:
             raise ValueError("matrix shape does not match the levels")
-        a, b, den = _reduced(self.num_a, self.num_b, self.den)
-        object.__setattr__(self, "num_a", a)
-        object.__setattr__(self, "num_b", b)
-        object.__setattr__(self, "den", den)
+        self._freeze()
 
     @classmethod
     def identity(cls, level: int) -> "LevelOperator":
@@ -118,92 +113,54 @@ class LevelOperator:
     def __matmul__(self, other: "LevelOperator") -> "LevelOperator":
         if other.target_level != self.source_level:
             raise ValueError("level mismatch in composition")
-        _guard(self.num_a, self.num_b, other.num_a, other.num_b)
-        a = self.num_a @ other.num_a + 2 * (self.num_b @ other.num_b)
-        b = self.num_a @ other.num_b + self.num_b @ other.num_a
-        return LevelOperator(other.source_level, self.target_level, a, b, self.den * other.den)
+        product = self._product(other.num_a, other.num_b, other.den, np.matmul)
+        return LevelOperator(other.source_level, self.target_level, *product)
 
     def __add__(self, other: "LevelOperator") -> "LevelOperator":
         if (self.source_level, self.target_level) != (other.source_level, other.target_level):
             raise ValueError("level mismatch in sum")
-        _guard(self.num_a, self.num_b, other.num_a, other.num_b)
-        return LevelOperator(
-            self.source_level,
-            self.target_level,
-            self.num_a * other.den + other.num_a * self.den,
-            self.num_b * other.den + other.num_b * self.den,
-            self.den * other.den,
-        )
+        return self._same_levels(*self._sum(other))
 
     def __sub__(self, other: "LevelOperator") -> "LevelOperator":
         return self + other.scaled(QuadScalar.of(-1))
 
+    def _same_levels(self, a, b, den: int) -> "LevelOperator":
+        return LevelOperator(self.source_level, self.target_level, a, b, den)
+
     def scaled(self, s: QuadScalar) -> "LevelOperator":
         sd = math.lcm(s.a.denominator, s.b.denominator)
-        sa, sb = int(s.a * sd), int(s.b * sd)
-        _guard(self.num_a, self.num_b)
-        return LevelOperator(
-            self.source_level,
-            self.target_level,
-            self.num_a * sa + 2 * self.num_b * sb,
-            self.num_a * sb + self.num_b * sa,
-            self.den * sd,
-        )
+        self._guard()
+        a, b = _times(self.num_a, self.num_b, int(s.a * sd), int(s.b * sd))
+        return self._same_levels(a, b, self.den * sd)
 
     def scale_rows(self, f: CylinderFunction) -> "LevelOperator":
         """diag(f) composed after this operator."""
         g = f.embed(self.target_level)
-        _guard(self.num_a, self.num_b, g.num_a, g.num_b)
-        ga, gb = g.num_a[:, None], g.num_b[:, None]
-        return LevelOperator(
-            self.source_level,
-            self.target_level,
-            ga * self.num_a + 2 * gb * self.num_b,
-            ga * self.num_b + gb * self.num_a,
-            self.den * g.den,
-        )
+        return self._same_levels(*self._product(g.num_a[:, None], g.num_b[:, None], g.den))
 
     def scale_cols(self, f: CylinderFunction) -> "LevelOperator":
         """This operator composed after diag(f)."""
         g = f.embed(self.source_level)
-        _guard(self.num_a, self.num_b, g.num_a, g.num_b)
-        ga, gb = g.num_a[None, :], g.num_b[None, :]
-        return LevelOperator(
-            self.source_level,
-            self.target_level,
-            ga * self.num_a + 2 * gb * self.num_b,
-            ga * self.num_b + gb * self.num_a,
-            self.den * g.den,
-        )
+        return self._same_levels(*self._product(g.num_a, g.num_b, g.den))
 
     def adjoint(self) -> "LevelOperator":
         return LevelOperator(
             self.target_level, self.source_level, self.num_a.T, self.num_b.T, self.den
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num_a.any() and not self.num_b.any()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LevelOperator):
             return NotImplemented
-        return (
-            (self.source_level, self.target_level) == (other.source_level, other.target_level)
-            and self.den == other.den
-            and np.array_equal(self.num_a, other.num_a)
-            and np.array_equal(self.num_b, other.num_b)
-        )
+        levels = (self.source_level, self.target_level) == (other.source_level, other.target_level)
+        return levels and self._same(other)
 
     def entry(self, row: Word, col: Word) -> QuadScalar:
-        return QuadScalar(
-            Fraction(int(self.num_a[row.bits, col.bits]), self.den),
-            Fraction(int(self.num_b[row.bits, col.bits]), self.den),
-        )
+        cell = (row.bits, col.bits)
+        return QuadScalar.over(self.num_a[cell], self.num_b[cell], self.den)
 
     def first_nonzero(self):
         """Row-major witness (row word, column word, value) or None."""
-        nz = np.nonzero(np.abs(self.num_a) + np.abs(self.num_b))
+        nz = np.nonzero(self.num_a | self.num_b)
         if nz[0].size == 0:
             return None
         r, c = int(nz[0][0]), int(nz[1][0])
@@ -238,11 +195,9 @@ def isometry_matrix(m: WindowMap, source_level: int) -> LevelOperator:
     img = m.image_table(target)
     pattern = np.zeros((1 << target, 1 << source_level), dtype=np.int64)
     pattern[np.arange(1 << target), img] = 1
-    zero = np.zeros_like(pattern)
-    # 1/sqrt(fibers) = 2^-(n-1)/2, split by parity of n-1.
-    if (n - 1) % 2 == 0:
-        return LevelOperator(source_level, target, pattern, zero, 1 << ((n - 1) // 2))
-    return LevelOperator(source_level, target, zero, pattern, 1 << (n // 2))
+    # 1/sqrt(fibers) = sqrt(fibers) / fibers.
+    root = QuadScalar.root2_power(n - 1)
+    return LevelOperator(source_level, target, pattern * int(root.a), pattern * int(root.b), m.fiber_count)
 
 
 @dataclass(frozen=True)
@@ -272,10 +227,9 @@ class RelationReport:
 
 
 def _inv_root(d: int) -> QuadScalar:
-    """F^(-1/2) for F = 2^d fibers."""
-    if d % 2 == 0:
-        return QuadScalar.of(Fraction(1, 1 << (d // 2)))
-    return QuadScalar.of(0, Fraction(1, 1 << ((d + 1) // 2)))
+    """F^(-1/2) = sqrt(F) / F for F = 2^d fibers."""
+    root = QuadScalar.root2_power(d)
+    return QuadScalar.over(root.a, root.b, 1 << d)
 
 
 def _witness(pair_names, row: Word, col: Word, value: QuadScalar) -> dict:
@@ -310,8 +264,7 @@ def _first_entry(rows, cols, col_bits: int, num_a, num_b, den: int):
     if live.size == 0:
         return None
     i = live[np.argmin((rows[live] << col_bits) | cols[live])]
-    value = QuadScalar(Fraction(int(num_a[i]), den), Fraction(int(num_b[i]), den))
-    return int(rows[i]), int(cols[i]), value
+    return int(rows[i]), int(cols[i]), QuadScalar.over(num_a[i], num_b[i], den)
 
 
 def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:

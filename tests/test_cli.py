@@ -420,6 +420,27 @@ class TestTypedErrors:
             assert (code, out) == (2, "")
             assert err.startswith("error: a degree-13 kernel lists 2^13 elements"), argv
 
+    @pytest.mark.parametrize("window", [25, 30])
+    def test_dictionary_window_over_budget_exits_2_at_once(self, capsys, window):
+        for argv in (["analyze", "0" * window], ["kernel", "--dict", "1" * window]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: window %d needs a rule table of 2^%d entries, over the budget of 2^24\n"
+                % (window, window)
+            )
+
+    def test_large_dictionary_is_refused_in_under_a_second(self, capsys):
+        """Window 18 passes the table budget and is refused by the kernel budget."""
+        text = str(Dictionary(18, WindowMap.from_poly(Gf2Poly((1 << 17) | 1)).rule))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["analyze", text])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a degree-17 kernel lists 2^17 elements")
+
 
 class TestClosedPipe:
     def test_closed_stdout_exits_1_without_a_traceback(self):

@@ -1,6 +1,8 @@
 """Tests for dictionaries, window maps and their classification."""
 
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +68,41 @@ class TestDictionary:
         assert Word.from_str("01") in d
         assert Word.from_str("11") not in d
         assert [str(w) for w in d.words()] == ["01", "10"]
+
+    @pytest.mark.parametrize("window", [15, 16, 17])
+    def test_large_window_round_trip(self, window):
+        d = Dictionary(window, WindowMap.from_poly(Gf2Poly((1 << (window - 1)) | 1)).rule)
+        text = str(d)
+        assert Dictionary.from_text(text) == d
+        assert Dictionary.from_words(d.words()) == d
+        assert [str(w) for w in d.words()] == text.split(",")
+        assert len(d.words()) == 1 << (window - 1)
+
+    def test_members_take_memory_linear_in_the_mask(self):
+        """Window 16: building one 2^16-bit integer per member would take over 100 MB."""
+        text = str(Dictionary(16, WindowMap.from_poly(Gf2Poly((1 << 15) | 1)).rule))
+        tracemalloc.start()
+        try:
+            d = Dictionary.from_text(text)
+            str(d)
+            d.words()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("window", [25, 30])
+    def test_window_over_the_table_budget_is_refused(self, window):
+        message = re.escape(
+            "window %d needs a rule table of 2^%d entries, over the budget of 2^24" % (window, window)
+        )
+        with pytest.raises(WindowTooLarge, match=message):
+            Dictionary.from_text("1" * window)
+        with pytest.raises(WindowTooLarge, match=message):
+            Dictionary.from_words([Word(window, 0)])
+
+    def test_window_at_the_table_budget_is_read(self):
+        assert Dictionary.from_text("1" * 24).words() == [Word(24, (1 << 24) - 1)]
 
     def test_member_length_mismatch(self):
         with pytest.raises(ValueError):

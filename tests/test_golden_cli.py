@@ -62,6 +62,10 @@ def calls() -> list:
             out.append(["kernel", "--dict", members])
             if n < 4:
                 out.append(["analyze", members])
+    # Windows over the 2^24-entry table budget are refused before any table is built.
+    for window in (25, 30):
+        out.append(["analyze", "0" * window])
+        out.append(["kernel", "--dict", "1" * window])
     for n in (2, 3, 4, 5):
         out.append(["classify", str(n), "--json"])
         out.append(["classify", str(n)])

@@ -14,9 +14,9 @@ from .dictionary import (
     WindowMap,
     WindowTooLarge,
     classify_dictionary,
-    kernel_elements,
+    kernel_texts,
 )
-from .gf2poly import Gf2Poly, recurrence_kernel
+from .gf2poly import Gf2Poly, recurrence_kernel_texts
 from .ledrappier import LEDRAPPIER, complete_patch, conjugate_vertical, stack_orbit
 from .matrixmodel import verify_relations
 from .starcomm import (
@@ -52,7 +52,7 @@ def _analysis_payload(d: Dictionary) -> dict:
     }
     if not record.progressive:
         return payload
-    payload["kernel"] = [str(s) for s in kernel_elements(d)]
+    payload["kernel"] = kernel_texts(d)
     decision = star_commute_windows(WindowMap.shift(), d.to_window_map())
     indep = {
         "strongly_independent": None,
@@ -166,13 +166,13 @@ def _render_classification(payload: dict) -> None:
 def _kernel_payload(dict_text: str | None, poly_text: str | None) -> dict:
     if dict_text is not None:
         d = Dictionary.from_text(dict_text)
-        elements = kernel_elements(d)
+        elements = kernel_texts(d)
         source = {"dictionary": str(d)}
     else:
         poly = Gf2Poly.parse(poly_text)
-        elements = recurrence_kernel(poly)
+        elements = recurrence_kernel_texts(poly)
         source = {"polynomial": str(poly)}
-    return {"kind": "kernel", "source": source, "elements": [str(s) for s in elements]}
+    return {"kind": "kernel", "source": source, "elements": elements}
 
 
 def _render_kernel(payload: dict) -> None:

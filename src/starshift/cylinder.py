@@ -153,7 +153,7 @@ class _Numerators:
 
     def _guard(self, *arrays):
         for arr in (self.num_a, self.num_b, *arrays):
-            if arr.size and int(np.abs(arr).max()) >= 1 << self._BITS:
+            if arr.size and int(np.max(np.abs(arr))) >= 1 << self._BITS:
                 raise NumeratorOverflow("%s numerators grew unexpectedly large" % self._KIND)
 
     def _sum(self, other) -> tuple:
@@ -435,6 +435,10 @@ def _stack_gram(num: np.ndarray):
     top = int(max(num.max(initial=0), -num.min(initial=0)))
     if 3 * a.shape[0] * top * top >= 1 << 53:
         raise NumeratorOverflow("frame numerators grew unexpectedly large")
+    # Standard frames have all-integer or all-sqrt2 members: one plane is zero, one product will do.
+    if not (a.any() and b.any()):
+        square = a.T @ a if a.any() else 2 * (b.T @ b)
+        return square.astype(np.int64), np.zeros(square.shape, dtype=np.int64)
     ab = a.T @ b
     return (a.T @ a + 2 * (b.T @ b)).astype(np.int64), (ab + ab.T).astype(np.int64)
 

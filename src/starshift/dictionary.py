@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2poly import Gf2Poly, _check_listing, _kernel_walk
+from .gf2poly import Gf2Poly, _check_listing, _kernel_walk, _sequences
 from .words import PeriodicSeq, Word, _check_bits
 
 
@@ -388,8 +388,8 @@ def enumerate_dictionaries(n: int, filter: str, max_n: int = DEFAULT_WINDOW_LIMI
         yield Dictionary(n, mask)
 
 
-def kernel_elements(d: Dictionary) -> list:
-    """All sequences mapped to zero by a progressive dictionary's map.
+def kernel_texts(d: Dictionary) -> list:
+    """`kernel_elements` as its sorted "pre:per" texts, with no sequence objects.
 
     Each kernel element is determined by its first n-1 symbols, and the
     rule's completion to 0 gives the next symbol, so the kernel is one
@@ -400,5 +400,9 @@ def kernel_elements(d: Dictionary) -> list:
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))
-    # Python ints: the walk's period shifts outgrow 64 bits.
     return _kernel_walk(width, _zero_completions(m).tolist())
+
+
+def kernel_elements(d: Dictionary) -> list:
+    """All sequences mapped to zero by a progressive dictionary's map, sorted."""
+    return _sequences(kernel_texts(d))

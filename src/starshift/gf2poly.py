@@ -208,7 +208,7 @@ def _check_listing(width: int) -> None:
 
 
 def _kernel_walk(width: int, next_bit) -> list:
-    """The sequences of a progressive rule on `width`-bit states, sorted.
+    """The sequences of a progressive rule on `width`-bit states, as sorted "pre:per" texts.
 
     A state holds the last `width` symbols, oldest at the top bit, and
     `next_bit[state]` is the symbol that follows.  The sequence from a
@@ -218,11 +218,12 @@ def _kernel_walk(width: int, next_bit) -> list:
     and a tail state puts its top bit in front of its successor's
     preperiod.  States on a cycle are distinct, so the cycle length is
     the primitive period and the distance to the cycle is the minimal
-    preperiod: every element is already in normal form.
+    preperiod: every element is already in normal form.  Equal-length binary
+    strings sort as their integers, so the sorted parts follow `PeriodicSeq.sort_key`.
     """
     mask = (1 << width) - 1
     top = width - 1
-    parts = [None] * (1 << width)  # (pre_len, pre_bits, per_len, per_bits)
+    parts = [None] * (1 << width)  # (pre_len, per_len, pre, per)
     for seed in range(1 << width):
         path = []
         on_path = {}
@@ -234,23 +235,24 @@ def _kernel_walk(width: int, next_bit) -> list:
         if parts[state] is None:
             cycle = path[on_path[state] :]
             del path[on_path[state] :]
-            length = len(cycle)
-            ring = (1 << length) - 1
-            string = 0
-            for s in cycle:
-                string = (string << 1) | (s >> top)
+            ring = "".join(["01"[s >> top] for s in cycle])
             for i, s in enumerate(cycle):
-                parts[s] = (0, 0, length, ((string << i) | (string >> (length - i))) & ring)
+                parts[s] = (0, len(ring), "", ring[i:] + ring[:i])
         for s in reversed(path):
-            pre_len, pre_bits, per_len, per_bits = parts[((s << 1) & mask) | next_bit[s]]
-            parts[s] = (pre_len + 1, ((s >> top) << pre_len) | pre_bits, per_len, per_bits)
-    out = [PeriodicSeq(*p) for p in parts]
-    out.sort(key=lambda s: s.sort_key())
-    return out
+            pre_len, per_len, pre, per = parts[((s << 1) & mask) | next_bit[s]]
+            parts[s] = (pre_len + 1, per_len, "01"[s >> top] + pre, per)
+    parts.sort()
+    return [pre + ":" + per for _, _, pre, per in parts]
 
 
-def recurrence_kernel(a: Gf2Poly) -> list:
-    """All sequences annihilated by a(shift), sorted deterministically.
+def _sequences(texts) -> list:
+    """The walk's texts as `PeriodicSeq`s; the constructor checks that each is in normal form."""
+    pairs = (text.split(":") for text in texts)
+    return [PeriodicSeq(len(pre), int(pre or "0", 2), len(per), int(per, 2)) for pre, per in pairs]
+
+
+def recurrence_kernel_texts(a: Gf2Poly) -> list:
+    """`recurrence_kernel` as its sorted "pre:per" texts, with no sequence objects.
 
     The kernel of a degree-d polynomial is parametrized by the first d
     symbols, and x_{k+d} is the parity of the d symbols before it under
@@ -261,8 +263,13 @@ def recurrence_kernel(a: Gf2Poly) -> list:
         raise ZeroPolynomial("the zero polynomial has full kernel")
     d = a.degree
     if d == 0:
-        return [PeriodicSeq.zero()]
+        return [":0"]
     _check_listing(d)
     # State bit d-1-j holds x_{k+j}, so the taps are the low bits reversed.
     taps = int(format(a.bits & ((1 << d) - 1), "0%db" % d)[::-1], 2)
     return _kernel_walk(d, [(state & taps).bit_count() & 1 for state in range(1 << d)])
+
+
+def recurrence_kernel(a: Gf2Poly) -> list:
+    """All sequences annihilated by a(shift), sorted deterministically."""
+    return _sequences(recurrence_kernel_texts(a))

@@ -34,7 +34,6 @@ from .cylinder import (
     _preimage_table,
     _refined_gram,
     _stack_gram,
-    _times,
     alpha,
     standard_frame,
 )
@@ -129,9 +128,8 @@ class LevelOperator(_Numerators):
 
     def scaled(self, s: QuadScalar) -> "LevelOperator":
         sd = math.lcm(s.a.denominator, s.b.denominator)
-        self._guard()
-        a, b = _times(self.num_a, self.num_b, int(s.a * sd), int(s.b * sd))
-        return self._same_levels(a, b, self.den * sd)
+        scalar = np.asarray(int(s.a * sd)), np.asarray(int(s.b * sd))
+        return self._same_levels(*self._product(*scalar, sd))
 
     def scale_rows(self, f: CylinderFunction) -> "LevelOperator":
         """diag(f) composed after this operator."""

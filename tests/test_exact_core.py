@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starshift import CylinderFunction, LevelOperator, QuadScalar, Word
+from starshift import CylinderFunction, LevelOperator, NumeratorOverflow, QuadScalar, Word
 
 deterministic = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -154,3 +154,13 @@ def test_multiplication_operators_compose_like_their_functions(f, g, extra):
     assert mf @ mg == LevelOperator.from_cylinder(f * g, level)
     assert mf + mg == LevelOperator.from_cylinder(f + g, level)
     assert (mf @ mg).diagonal() == (f * g).embed(level)
+
+
+@pytest.mark.parametrize(
+    "scalar", [QuadScalar.of(1 << 50), QuadScalar.of(1 << 64), QuadScalar.of(-(1 << 70)), QuadScalar.of(0, 1 << 40)]
+)
+def test_scaling_by_a_scalar_past_the_guard_is_refused(scalar):
+    """2^20 times 2^50 would wrap to 0 in int64; the scalar's numerators meet the operator guard."""
+    op = LevelOperator.from_cylinder(CylinderFunction.from_values(0, [1 << 20]), 0)
+    with pytest.raises(NumeratorOverflow):
+        op.scaled(scalar)

@@ -1,12 +1,15 @@
 """Differential tests: the one-pass kernel walk against the per-seed walk.
 
-`recurrence_kernel` and `kernel_elements` list a kernel from one pass over
-the functional graph of their rule's states.  The reference here is the
-walk they replaced: every seed's forced continuation is followed on its
-own until its state repeats.  The listings must agree exactly, order and
-strings included.
+`recurrence_kernel_texts` and `kernel_texts` list a kernel as "pre:per"
+texts from one pass over the functional graph of their rule's states; the
+CLI prints those texts, and `recurrence_kernel` and `kernel_elements`
+build `PeriodicSeq`s from them.  The reference here is the walk they
+replaced: every seed's forced continuation is followed on its own until
+its state repeats.  The text listing, the objects' strings and the
+reference must agree exactly, order included.
 """
 
+import json
 import random
 
 import numpy as np
@@ -20,7 +23,9 @@ from starshift import (
     kernel_elements,
     recurrence_kernel,
 )
-from starshift.dictionary import progressive_mask
+from starshift.cli import main
+from starshift.dictionary import kernel_texts, progressive_mask
+from starshift.gf2poly import recurrence_kernel_texts
 
 
 def seed_walk(width, next_bit):
@@ -80,7 +85,15 @@ def listed(elements):
 
 
 def assert_same_listing(a):
-    assert listed(recurrence_kernel(a)) == seed_walk(a.degree, recurrence_rule(a)), str(a)
+    reference = seed_walk(a.degree, recurrence_rule(a))
+    assert recurrence_kernel_texts(a) == listed(recurrence_kernel(a)) == reference, str(a)
+
+
+def assert_same_dictionary_listing(d):
+    """The text listing, the objects' strings and the reference; returns the objects."""
+    elements = kernel_elements(d)
+    assert kernel_texts(d) == listed(elements) == seed_walk(d.window - 1, dictionary_rule(d)), str(d)
+    return elements
 
 
 def test_every_polynomial_up_to_degree_8():
@@ -101,7 +114,7 @@ def test_sampled_polynomials_of_degrees_9_and_10():
 def test_every_progressive_dictionary_of_windows_2_to_4():
     for n in (2, 3, 4):
         for d in enumerate_dictionaries(n, "progressive"):
-            assert listed(kernel_elements(d)) == seed_walk(n - 1, dictionary_rule(d)), str(d)
+            assert_same_dictionary_listing(d)
 
 
 def test_sampled_window_6_dictionaries():
@@ -110,7 +123,21 @@ def test_sampled_window_6_dictionaries():
     tails = 0
     for _ in range(500):
         d = Dictionary(6, progressive_mask(6, rng.getrandbits(32)))
-        elements = kernel_elements(d)
-        assert listed(elements) == seed_walk(5, dictionary_rule(d)), str(d)
-        tails += any(s.pre_len for s in elements)
+        tails += any(s.pre_len for s in assert_same_dictionary_listing(d))
     assert tails > 100
+
+
+def test_cli_kernel_listing_builds_no_sequence_objects(monkeypatch, capsys):
+    argv = ["kernel", "--poly", "1+t^4+t^9", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    objects = listed(recurrence_kernel(Gf2Poly.parse("1+t^4+t^9")))
+
+    def refuse(self):
+        raise AssertionError("a PeriodicSeq was built")
+
+    monkeypatch.setattr(PeriodicSeq, "__post_init__", refuse)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    assert json.loads(out)["elements"] == objects

@@ -20,8 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .dictionary import NotProgressive, WindowMap, _zero_completions
 from .words import Word
 

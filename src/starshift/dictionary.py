@@ -15,8 +15,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .gf2poly import Gf2Poly, _check_listing, _kernel_walk, _sequences
 from .words import PeriodicSeq, Word, _check_bits
 

@@ -40,7 +40,8 @@ class TrianglePatch:
         if not self.rows:
             raise ValueError("a patch needs at least one row")
         for above, below in zip(self.rows[1:], self.rows):
-            if above.length != below.length - 1 or above != _pair_sums(below):
+            sums = (below.bits ^ (below.bits >> 1)) & ((1 << above.length) - 1)
+            if above.length != below.length - 1 or above.bits != sums:
                 raise ValueError("rows do not satisfy the triangle rule")
 
     @property

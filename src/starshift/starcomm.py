@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .dictionary import WindowMap
 from .gf2poly import Gf2Poly, ZeroPolynomial, poly_factor, poly_gcd, recurrence_kernel
 from .words import PeriodicSeq, Word

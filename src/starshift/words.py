@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 
 def _check_bits(text: str) -> None:
-    if text.strip("01"):
+    if text.count("0") + text.count("1") != len(text):
         raise ValueError("word must consist of 0s and 1s: %r" % text)
 
 
@@ -148,7 +148,13 @@ class PeriodicSeq:
     def from_parts(cls, preperiod: Word, period: Word) -> "PeriodicSeq":
         if period.length < 1:
             raise ValueError("period must be nonempty")
-        return cls(*_normalize(preperiod.length, preperiod.bits, period.length, period.bits))
+        # _normalize of in-range parts is a normal form, so __post_init__'s
+        # second _normalize would only repeat it; set the fields directly.
+        seq = object.__new__(cls)
+        parts = _normalize(preperiod.length, preperiod.bits, period.length, period.bits)
+        for name, value in zip(("pre_len", "pre_bits", "per_len", "per_bits"), parts):
+            object.__setattr__(seq, name, value)
+        return seq
 
     @classmethod
     def parse(cls, text: str) -> "PeriodicSeq":

@@ -154,6 +154,25 @@ class TestTrianglePatch:
                 (Word.from_str("110"), Word.from_str("01"), Word.from_str("0"))
             )
 
+    def test_rejects_every_flipped_bit(self):
+        rows = complete_patch(Word.from_str("1101001110001011")).rows
+        for r in range(1, len(rows)):
+            for i in range(rows[r].length):
+                flipped = Word(rows[r].length, rows[r].bits ^ (1 << i))
+                bad = rows[:r] + (flipped,) + rows[r + 1 :]
+                with pytest.raises(ValueError, match="rows do not satisfy the triangle rule"):
+                    TrianglePatch(bad)
+
+    def test_rejects_wrong_row_lengths(self):
+        # Rows whose bits are the pairwise sums cut to their own length, so
+        # only the length check can refuse them.
+        below = Word.from_str("110100")
+        sums = below.bits ^ (below.bits >> 1)
+        for length in (0, 1, 2, 3, 4, 6, 7):
+            wrong = Word(length, sums & ((1 << length) - 1))
+            with pytest.raises(ValueError, match="rows do not satisfy the triangle rule"):
+                TrianglePatch((below, wrong))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TrianglePatch(())

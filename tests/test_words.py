@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from starshift import PeriodicSeq, Word
+from starshift import Gf2Poly, PeriodicSeq, Word, recurrence_kernel
 
 
 def all_words(length):
@@ -167,6 +167,24 @@ class TestPeriodicSeq:
             PeriodicSeq.parse("1:")
         with pytest.raises(IndexError):
             PeriodicSeq.zero().coord(0)
+
+    def test_constructor_refuses_non_normal_forms(self):
+        for parts in ((0, 0, 2, 3), (1, 0, 1, 0), (0, 0, 2, 0), (2, 1, 2, 1)):
+            with pytest.raises(ValueError, match="not in normal form; use from_parts"):
+                PeriodicSeq(*parts)
+
+    def test_from_parts_results_pass_the_constructor_check(self):
+        for pre_len in range(4):
+            for per_len in range(1, 5):
+                for pre in itertools.product((0, 1), repeat=pre_len):
+                    for per in itertools.product((0, 1), repeat=per_len):
+                        s = PeriodicSeq.from_parts(Word.from_bits(pre), Word.from_bits(per))
+                        assert PeriodicSeq(s.pre_len, s.pre_bits, s.per_len, s.per_bits) == s
+
+    def test_parse_round_trips_every_kernel_element_up_to_degree_8(self):
+        for mask in range(1, 1 << 9):
+            for s in recurrence_kernel(Gf2Poly(mask)):
+                assert PeriodicSeq.parse(str(s)) == s
 
     def test_sort_key_orders_deterministically(self):
         pool = {PeriodicSeq.parse(t) for t in (":0", ":1", "1:0", "0:1", ":01", ":10")}

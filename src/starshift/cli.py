@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dictionary import (
     DEFAULT_WINDOW_LIMIT,
@@ -16,7 +16,7 @@ from .dictionary import (
     classify_dictionary,
     kernel_texts,
 )
-from .gf2poly import Gf2Poly, recurrence_kernel_texts
+from .gf2poly import KERNEL_BUDGET, Gf2Poly, recurrence_kernel_texts
 from .ledrappier import LEDRAPPIER, complete_patch, conjugate_vertical, stack_orbit
 from .matrixmodel import verify_relations
 from .starcomm import (
@@ -34,9 +34,69 @@ def _yesno(flag) -> str:
     return "yes" if flag else "no"
 
 
+# The bytes JSON prints as themselves: printable ASCII but the quote and the backslash.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _dumps(value) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`.
+
+    A kernel listing is thousands of strings that need no escaping, so a
+    list of strings is checked in one pass over its joined text and, if
+    every byte is plain, quoted as it stands.  Other strings go through
+    json's own C escaper.  The pieces are joined once at the end, so a
+    listing of megabytes is copied once, not once per enclosing level.
+    Values outside str, int, bool, None, lists and dicts with str keys
+    raise TypeError.
+    """
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append the pieces of `value` to `out`; `pad` is the newline and indent of its level."""
+    inner = pad + "  "
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        if set(map(type, value)) == {str}:
+            text = "".join(value)
+            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+                out += ("[", inner, '"', ('",' + inner + '"').join(value), '"', pad, "]")
+                return
+        for i, item in enumerate(value):
+            out += ("," if i else "[", inner)
+            _write(item, inner, out)
+        out += (pad, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if set(map(type, value)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        for i, key in enumerate(sorted(value)):
+            out += ("," if i else "{", inner, encode_basestring_ascii(key), ": ")
+            _write(value[key], inner, out)
+        out += (pad, "}")
+    else:
+        raise TypeError("cannot write %s as JSON" % type(value).__name__)
+
+
 def _emit(payload: dict, as_json: bool, render) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         render(payload)
 
@@ -126,6 +186,12 @@ def _classification_payload(n: int, max_n: int) -> dict:
     """
     if n < 2 or n > max_n:
         raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
+    # 2^(n-1) rows of 2^(n-1) members of n symbols each; the first test keeps the shift small.
+    if n > KERNEL_BUDGET.bit_length() or n << (2 * n - 2) > KERNEL_BUDGET:
+        raise WindowTooLarge(
+            "window %d lists 2^%d dictionaries of 2^%d words of %d symbols, "
+            "over the budget of 2^%d symbols" % (n, n - 1, n - 1, n, KERNEL_BUDGET.bit_length() - 1)
+        )
     top = 1 << (n - 1)
     rows = []
     for low in range(top):

@@ -62,9 +62,11 @@ class Dictionary:
     def from_text(cls, text: str) -> "Dictionary":
         """Parse the comma-separated form, e.g. "001,100,011,110"."""
         parts = text.split(",")
-        for part in parts:
-            _check_bits(part)
-        if any(len(part) != len(parts[0]) for part in parts):
+        # One count over the whole text; only a failure looks for the first bad part.
+        if text.count("0") + text.count("1") + len(parts) - 1 != len(text):
+            for part in parts:
+                _check_bits(part)
+        if len(set(map(len, parts))) > 1:
             raise ValueError("dictionary words must share one length")
         return cls._from_values(len(parts[0]), [int("0" + part, 2) for part in parts])
 

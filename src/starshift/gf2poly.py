@@ -215,34 +215,47 @@ def _kernel_walk(width: int, next_bit) -> list:
     state is its top bit followed by the sequence from its successor, so
     one pass over the functional graph gives every element: a cycle's
     period is the string of its states' top bits, rotated to each state,
-    and a tail state puts its top bit in front of its successor's
-    preperiod.  States on a cycle are distinct, so the cycle length is
-    the primitive period and the distance to the cycle is the minimal
-    preperiod: every element is already in normal form.  Equal-length binary
-    strings sort as their integers, so the sorted parts follow `PeriodicSeq.sort_key`.
+    and a tail state puts its top bit in front of its successor's text.
+    States on a cycle are distinct, so the cycle length is the primitive
+    period and the distance to the cycle is the minimal preperiod: every
+    element is already in normal form.  `PeriodicSeq.sort_key` orders by
+    (pre_len, per_len) first; within one such group the texts have equal
+    length and the ":" at one place, so string order is the order of
+    (pre, per) as integers.
     """
-    mask = (1 << width) - 1
+    size = 1 << width
     top = width - 1
-    parts = [None] * (1 << width)  # (pre_len, per_len, pre, per)
-    for seed in range(1 << width):
+    succ = [((state << 1) & (size - 1)) | bit for state, bit in enumerate(next_bit)]
+    texts = [None] * size
+    walked = [-1] * size  # the last seed whose walk passed a state
+    groups = {}  # (pre_len, per_len) -> texts
+    for seed in range(size):
         path = []
-        on_path = {}
         state = seed
-        while parts[state] is None and state not in on_path:
-            on_path[state] = len(path)
+        while texts[state] is None and walked[state] != seed:
+            walked[state] = seed
             path.append(state)
-            state = ((state << 1) & mask) | next_bit[state]
-        if parts[state] is None:
-            cycle = path[on_path[state] :]
-            del path[on_path[state] :]
+            state = succ[state]
+        if texts[state] is None:
+            start = path.index(state)
+            cycle = path[start:]
+            del path[start:]
             ring = "".join(["01"[s >> top] for s in cycle])
+            period = len(ring)
+            ring += ring
+            group = groups.setdefault((0, period), [])
             for i, s in enumerate(cycle):
-                parts[s] = (0, len(ring), "", ring[i:] + ring[:i])
-        for s in reversed(path):
-            pre_len, per_len, pre, per = parts[((s << 1) & mask) | next_bit[s]]
-            parts[s] = (pre_len + 1, per_len, "01"[s >> top] + pre, per)
-    parts.sort()
-    return [pre + ":" + per for _, _, pre, per in parts]
+                texts[s] = text = ":" + ring[i : i + period]
+                group.append(text)
+        if path:
+            after = texts[state]
+            colon = after.index(":")
+            pre_len, per_len = colon + len(path), len(after) - colon - 1
+            tail = "".join(["01"[s >> top] for s in path])
+            for i, s in enumerate(path):
+                texts[s] = text = tail[i:] + after
+                groups.setdefault((pre_len - i, per_len), []).append(text)
+    return [text for key in sorted(groups) for text in sorted(groups[key])]
 
 
 def _sequences(texts) -> list:

@@ -107,6 +107,11 @@ class TestAnalyze:
             ("+01,10", "word must consist of 0s and 1s: '+01'"),
             ("0b1,10", "word must consist of 0s and 1s: '0b1'"),
             ("01,1", "dictionary words must share one length"),
+            ("01,0a,b1,10", "word must consist of 0s and 1s: '0a'"),
+            ("00,01,1x", "word must consist of 0s and 1s: '1x'"),
+            ("01,10,", "dictionary words must share one length"),
+            # int("\u0661", 2) is 1, so only the 0/1 check refuses this member.
+            ("01,1\u0661", "word must consist of 0s and 1s: '1\u0661'"),
             ("01,,10", "dictionary words must share one length"),
             ("", "dictionary window must be at least 2"),
         ],
@@ -401,6 +406,23 @@ class TestTypedErrors:
     def test_exponents_are_ascii_digits_within_the_limit(self, capsys, poly, message):
         code, out, err = run(capsys, ["kernel", "--poly", poly])
         assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("window", [12, 13, 26, 27, 10**9])
+    def test_classify_listing_over_budget_exits_2_at_once(self, capsys, window):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["classify", str(window), "--max-n", str(window), "--json"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: window %d lists 2^%d dictionaries of 2^%d words of %d symbols, "
+            "over the budget of 2^25 symbols\n" % (window, window - 1, window - 1, window)
+        )
+
+    def test_classify_window_11_is_within_budget(self):
+        """11 * 4^10 symbols are under 2^25: the largest window the budget admits."""
+        rows = _classification_payload(11, 11)["admissible"]
+        assert len(rows) == 1024
+        assert sum(len(row["members"]) for row in rows) == 1024 * (1024 * 12 - 1)
 
     @pytest.mark.parametrize("poly, degree", [("t^40", 40), ("1+t^26", 26), ("1+t^13", 13)])
     def test_kernel_listing_over_budget_exits_2_at_once(self, capsys, poly, degree):

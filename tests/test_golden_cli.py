@@ -17,7 +17,10 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import sys
+
+import pytest
 
 from starshift.cli import main
 
@@ -113,6 +116,43 @@ def test_degree_five_verify_is_byte_identical():
         code = main(["verify", "t", "1+t^2+t^5", "--level", "10", "--json"])
     assert (code, err.getvalue()) == (0, "")
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DEGREE_FIVE_SHA256
+
+
+def _linear_members(mask: int) -> str:
+    """Members of the window-(deg + 1) dictionary whose map is x -> p(shift) x, p = mask."""
+    n = mask.bit_length()
+    taps = [i for i in range(n) if mask >> i & 1]
+    words = (v for v in range(1 << n) if sum(v >> (n - 1 - i) for i in taps) & 1)
+    return ",".join(format(v, "0%db" % n) for v in words)
+
+
+# sha256 of the stdout (exit 0, no stderr) of calls at the size of the `sequences`
+# benchmark workload, far above the golden set's degree 8 and window 4.
+WORKLOAD_SHA256 = {
+    # Primitive, degree 9: 512 elements, 266 kB of JSON.
+    ("kernel", "--poly", "1+t^4+t^9", "--json"):
+        "7ddd55f4298bc83a4223deee632858e4485b64c62ce31e81240a10638ffa29cd",
+    # The same kernel through its window-10 dictionary.
+    ("kernel", "--dict", _linear_members(0b1000010001), "--json"):
+        "914bc6bb41ef82006d6fdd5bf9815d36a669ea14d02155606ec08ac71acf2c26",
+    # Window 9, primitive 1+t^2+t^3+t^4+t^8: every element purely periodic.
+    ("analyze", _linear_members(0b100011101), "--json"):
+        "d23f12d8213260da9e66e3550e7ce7e024648bef3afdc8ffd251f5aea994092d",
+    # Window 9, t(1+t+t^7): half the elements have a one-symbol tail.
+    ("analyze", _linear_members(0b10000011 << 1), "--json"):
+        "c086dbb919eeb1357e183acfe06a171f57e262b5c06a20990661da8ad808e628",
+    ("ledrappier", format(random.Random(500).getrandbits(500), "0500b"), "--json"):
+        "fe193509f0a5ac7302187a7ae26d65f4571e029b90a7f364c0ad7a629cb4ea21",
+}
+
+
+@pytest.mark.parametrize("argv", list(WORKLOAD_SHA256), ids=lambda argv: " ".join(argv)[:30])
+def test_workload_scale_output_is_byte_identical(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, err.getvalue()) == (0, "")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == WORKLOAD_SHA256[argv]
 
 
 if __name__ == "__main__":

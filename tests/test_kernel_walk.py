@@ -127,6 +127,18 @@ def test_sampled_window_6_dictionaries():
     assert tails > 100
 
 
+def test_sampled_nonlinear_dictionaries_of_windows_8_and_9():
+    """The walk at the `sequences` benchmark's size, on rules with tails of many lengths."""
+    rng = random.Random(20261019)
+    tails = 0
+    for n in (8, 9):
+        for _ in range(100):
+            d = Dictionary(n, progressive_mask(n, rng.getrandbits(1 << (n - 1))))
+            assert d.to_window_map().linear_poly is None
+            tails += any(s.pre_len for s in assert_same_dictionary_listing(d))
+    assert tails >= 50
+
+
 def test_cli_kernel_listing_builds_no_sequence_objects(monkeypatch, capsys):
     argv = ["kernel", "--poly", "1+t^4+t^9", "--json"]
     assert main(argv) == 0

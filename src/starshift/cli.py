@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -13,6 +14,7 @@ from .dictionary import (
     Dictionary,
     WindowMap,
     WindowTooLarge,
+    _linear_table,
     classify_dictionary,
     kernel_texts,
 )
@@ -176,13 +178,25 @@ def _render_analysis(payload: dict) -> None:
         print("simplicity: %s" % cert["simplicity_report"])
 
 
+# Maps the text of a binary numeral to bytes that are false at its 0s and true at its 1s.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pick(items: list, mask: int):
+    """The items at the set bits of `mask`, lowest bit first."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+
+
 def _classification_payload(n: int, max_n: int) -> dict:
     """All dictionaries of window n, counted in closed form.
 
     A progressive dictionary picks one completion per (n-1)-prefix.  The
     admissible ones are exactly the linear rules of the polynomials of
     degree n-1, and such a polynomial *-commutes with the shift exactly
-    when it is coprime to t, that is, when its constant term is 1.
+    when it is coprime to t, that is, when its constant term is 1.  Each
+    row is read off the bits of its polynomial: the members are the window
+    words at the 1s of the polynomial's rule table, and the terms of its
+    text are the powers at the 1s of the polynomial itself.
     """
     if n < 2 or n > max_n:
         raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
@@ -193,11 +207,14 @@ def _classification_payload(n: int, max_n: int) -> dict:
             "over the budget of 2^%d symbols" % (n, n - 1, n - 1, n, KERNEL_BUDGET.bit_length() - 1)
         )
     top = 1 << (n - 1)
+    spec = "0%db" % n
+    words = [format(v, spec) for v in range(1 << n)]
+    terms = ["1", "t"] + ["t^%d" % i for i in range(2, n)]
     rows = []
     for low in range(top):
-        poly = Gf2Poly(top | low)
-        members = str(Dictionary(n, WindowMap.from_poly(poly).rule))
-        rows.append((members, str(poly), bool(low & 1)))
+        bits = top | low
+        members = ",".join(_pick(words, _linear_table(n, bits)))
+        rows.append((members, "+".join(_pick(terms, bits)), bool(low & 1)))
     rows.sort()
     return {
         "kind": "classification",

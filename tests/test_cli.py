@@ -184,6 +184,33 @@ class TestClassify:
             dump = functools.partial(json.dumps, indent=2, sort_keys=True)
             assert dump(_classification_payload(n, 5)) == dump(oracle)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_listing_matches_the_dictionary_route(self, n):
+        """Rows read off the polynomials' bits equal rows printed through a
+        Dictionary and a WindowMap per polynomial, for every window the
+        listing budget admits."""
+        top = 1 << (n - 1)
+        rows = []
+        for low in range(top):
+            p = Gf2Poly(top | low)
+            rows.append((str(Dictionary(n, WindowMap.from_poly(p).rule)), str(p), bool(low & 1)))
+        rows.sort()
+        oracle = {
+            "kind": "classification",
+            "window": n,
+            "counts": {
+                "total": 1 << (1 << n),
+                "progressive": 1 << top,
+                "admissible": top,
+                "star_commuting_with_shift": top >> 1,
+            },
+            "admissible": [
+                {"members": m, "polynomial": p, "star_commutes_with_shift": star}
+                for m, p, star in rows
+            ],
+        }
+        assert _classification_payload(n, n) == oracle
+
     def test_window_out_of_range(self, capsys):
         for argv in [["classify", "1"], ["classify", "6"], ["classify", "5", "--max-n", "4"]]:
             code, out, err = run(capsys, argv)
@@ -322,6 +349,29 @@ class TestLedrappier:
     def test_negative_steps_exit_2(self, capsys):
         code, out, err = run(capsys, ["ledrappier", "1101", "--steps", "-3", "--json"])
         assert (code, out, err) == (2, "", "error: steps must be nonnegative, got -3\n")
+
+    @pytest.mark.parametrize(
+        "bits, steps, symbols",
+        [
+            (8192, None, 8192 * 8193 // 2),
+            (20000, None, 20000 * 20001 // 2),
+            (20000, 2000, 2001 * 20000 - 2000 * 2001 // 2),
+        ],
+        ids=["8192-bits", "20000-bits", "20000-bits-2000-steps"],
+    )
+    def test_listing_over_budget_exits_2_at_once(self, capsys, bits, steps, symbols):
+        argv = ["ledrappier", "10" * (bits // 2)]
+        if steps is not None:
+            argv += ["--steps", str(steps)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        rows = bits if steps is None else steps + 1
+        assert err == (
+            "error: a base of %d symbols lists %d rows, %d symbols in all, "
+            "over the budget of 2^25 symbols\n" % (bits, rows, symbols)
+        )
 
     def test_schema_requires_nonnegative_steps(self, capsys):
         code, payload = run_json(capsys, ["ledrappier", "1101", "--steps", "0"])

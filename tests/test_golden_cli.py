@@ -72,6 +72,10 @@ def calls() -> list:
     for n in (2, 3, 4, 5):
         out.append(["classify", str(n), "--json"])
         out.append(["classify", str(n)])
+    # Every window up to the listing budget (window 11 lists 2^20 rows' worth of words).
+    for n in range(6, 12):
+        out.append(["classify", str(n), "--max-n", str(n), "--json"])
+        out.append(["classify", str(n), "--max-n", str(n)])
     out += [
         ["certify", "t", "1+t"],
         ["certify", "t", "t+t^2", "--json"],

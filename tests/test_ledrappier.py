@@ -2,12 +2,16 @@
 
 import pytest
 
+import starshift.ledrappier as ledrappier
 from starshift import (
     BASIC_BLOCKS,
     LEDRAPPIER,
     Dictionary,
+    Gf2Poly,
     NotProgressive,
+    PatchTooLarge,
     TrianglePatch,
+    WindowMap,
     Word,
     WordTooShort,
     apply_window_map,
@@ -15,6 +19,8 @@ from starshift import (
     conjugate_vertical,
     stack_orbit,
 )
+from starshift.gf2poly import KERNEL_BUDGET
+from starshift.ledrappier import _check_listing, _listing_symbols
 
 
 def all_words(length):
@@ -181,3 +187,38 @@ class TestTrianglePatch:
         patch = TrianglePatch((Word.from_str("0"),))
         assert patch.serialize() == "0"
         assert list(patch.sub_blocks()) == []
+
+
+class TestListingBudget:
+    def test_prediction_counts_the_listed_symbols(self):
+        xor3 = Dictionary(3, WindowMap.from_poly(Gf2Poly.parse("1+t+t^2")).rule)
+        for length in range(1, 9):
+            for w in all_words(length)[:3]:
+                rows = complete_patch(w).rows
+                assert sum(r.length for r in rows) == _listing_symbols(length, length - 1)
+                for steps in range(length):
+                    rows = stack_orbit(LEDRAPPIER, w, steps)
+                    assert sum(r.length for r in rows) == _listing_symbols(length, steps)
+                for steps in range((length + 1) // 2):
+                    rows = stack_orbit(xor3, w, steps)
+                    assert sum(r.length for r in rows) == _listing_symbols(length, steps, 3)
+
+    def test_a_base_of_8191_symbols_is_the_largest_full_patch(self):
+        assert _listing_symbols(8191, 8190) == 8191 * 8192 // 2 <= KERNEL_BUDGET
+        assert _listing_symbols(8192, 8191) == 8192 * 8193 // 2 > KERNEL_BUDGET
+        _check_listing(8191, 8190)
+        message = "^a base of 8192 symbols lists 8192 rows, 33558528 symbols in all, over the budget of 2\\^25 symbols$"
+        with pytest.raises(PatchTooLarge, match=message):
+            _check_listing(8192, 8191)
+
+    def test_stacks_are_refused_before_any_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(ledrappier, "apply_window_map", refuse)
+        monkeypatch.setattr(ledrappier, "_pair_sums", refuse)
+        base = Word(20000, 0)
+        with pytest.raises(PatchTooLarge):
+            complete_patch(base)
+        with pytest.raises(PatchTooLarge, match="^a base of 20000 symbols lists 2001 rows, "):
+            stack_orbit(LEDRAPPIER, base, 2000)

@@ -10,15 +10,14 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .dictionary import (
-    DEFAULT_WINDOW_LIMIT,
     Dictionary,
     WindowMap,
-    WindowTooLarge,
+    _check_dictionaries,
     _linear_table,
     classify_dictionary,
     kernel_texts,
 )
-from .gf2poly import KERNEL_BUDGET, Gf2Poly, recurrence_kernel_texts
+from .gf2poly import Gf2Poly, recurrence_kernel_texts
 from .ledrappier import LEDRAPPIER, complete_patch, conjugate_vertical, stack_orbit
 from .matrixmodel import verify_relations
 from .starcomm import (
@@ -94,13 +93,6 @@ def _write(value, pad: str, out: list) -> None:
         out += (pad, "}")
     else:
         raise TypeError("cannot write %s as JSON" % type(value).__name__)
-
-
-def _emit(payload: dict, as_json: bool, render) -> None:
-    if as_json:
-        print(_dumps(payload))
-    else:
-        render(payload)
 
 
 def _analysis_payload(d: Dictionary) -> dict:
@@ -187,7 +179,7 @@ def _pick(items: list, mask: int):
     return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _classification_payload(n: int, max_n: int) -> dict:
+def _classification_payload(n: int) -> dict:
     """All dictionaries of window n, counted in closed form.
 
     A progressive dictionary picks one completion per (n-1)-prefix.  The
@@ -198,14 +190,7 @@ def _classification_payload(n: int, max_n: int) -> dict:
     words at the 1s of the polynomial's rule table, and the terms of its
     text are the powers at the 1s of the polynomial itself.
     """
-    if n < 2 or n > max_n:
-        raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
-    # 2^(n-1) rows of 2^(n-1) members of n symbols each; the first test keeps the shift small.
-    if n > KERNEL_BUDGET.bit_length() or n << (2 * n - 2) > KERNEL_BUDGET:
-        raise WindowTooLarge(
-            "window %d lists 2^%d dictionaries of 2^%d words of %d symbols, "
-            "over the budget of 2^%d symbols" % (n, n - 1, n - 1, n, KERNEL_BUDGET.bit_length() - 1)
-        )
+    _check_dictionaries(n, n - 1)
     top = 1 << (n - 1)
     spec = "0%db" % n
     words = [format(v, spec) for v in range(1 << n)]
@@ -361,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="count and list the admissible dictionaries of one window")
     p.add_argument("window", type=int)
-    p.add_argument("--max-n", type=int, default=DEFAULT_WINDOW_LIMIT, help="largest allowed window")
     add_json(p)
 
     p = sub.add_parser("kernel", help="list the sequences a map sends to zero")
@@ -392,25 +376,22 @@ def main(argv=None) -> int:
     code = 0
     try:
         if args.command == "analyze":
-            payload = _analysis_payload(Dictionary.from_text(args.dictionary))
-            _emit(payload, args.json, _render_analysis)
+            payload, render = _analysis_payload(Dictionary.from_text(args.dictionary)), _render_analysis
         elif args.command == "classify":
-            payload = _classification_payload(args.window, args.max_n)
-            _emit(payload, args.json, _render_classification)
+            payload, render = _classification_payload(args.window), _render_classification
         elif args.command == "kernel":
-            payload = _kernel_payload(args.dict_text, args.poly_text)
-            _emit(payload, args.json, _render_kernel)
+            payload, render = _kernel_payload(args.dict_text, args.poly_text), _render_kernel
         elif args.command == "certify":
-            payload = _certificate_payload(args.polys)
-            _emit(payload, args.json, _render_certificate)
+            payload, render = _certificate_payload(args.polys), _render_certificate
         elif args.command == "verify":
-            payload = _relations_payload(args.polys, args.level)
-            _emit(payload, args.json, _render_relations)
-            if not all(payload["relations"].values()):
-                code = 1
+            payload, render = _relations_payload(args.polys, args.level), _render_relations
+            code = 0 if all(payload["relations"].values()) else 1
         elif args.command == "ledrappier":
-            payload = _ledrappier_payload(args.base, args.steps)
-            _emit(payload, args.json, _render_ledrappier)
+            payload, render = _ledrappier_payload(args.base, args.steps), _render_ledrappier
+        if args.json:
+            print(_dumps(payload))
+        else:
+            render(payload)
         # A reader that closed the pipe early shows up here, not at exit.
         sys.stdout.flush()
     except ValueError as exc:

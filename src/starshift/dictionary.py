@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from ._numpy import np
-from .gf2poly import Gf2Poly, _check_listing, _kernel_walk, _sequences
+from .gf2poly import KERNEL_BUDGET, Gf2Poly, _check_kernel, _check_listing, _kernel_walk, _sequences
 from .words import PeriodicSeq, Word, _check_bits
 
 
@@ -29,10 +29,7 @@ class NotProgressive(ValueError):
 
 
 class WindowTooLarge(ValueError):
-    """Enumeration requested beyond the configured window limit."""
-
-
-DEFAULT_WINDOW_LIMIT = 5
+    """A window under 2, or one whose rule table or listing is over its budget."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def _rule_bits(m: "WindowMap") -> np.ndarray:
 
 
 def _zero_completions(m: "WindowMap") -> np.ndarray:
-    """Entry s is m.completion(s, 0) for a progressive m: 1 - rule(2s + 1)."""
+    """Entry s is the last bit steering a progressive m to 0 after prefix s: 1 - rule(2s + 1)."""
     return 1 - _rule_bits(m)[1::2]
 
 
@@ -228,11 +225,6 @@ class WindowMap:
     @property
     def fiber_count(self) -> int:
         return 1 << (self.window - 1)
-
-    def completion(self, prefix: int, target: int) -> int:
-        """The unique last bit steering a progressive rule to `target`."""
-        b = self.rule_bit((prefix << 1) | 1) == (target & 1)
-        return int(b)
 
     def apply(self, w: Word) -> Word:
         return apply_window_map(self, w)
@@ -367,18 +359,36 @@ def progressive_mask(n: int, choice: int) -> int:
     return mask
 
 
-def enumerate_dictionaries(n: int, filter: str, max_n: int = DEFAULT_WINDOW_LIMIT):
+def _check_dictionaries(n: int, c: int | None = None) -> None:
+    """Refuse a window under 2, or a listing of 2^c window-n dictionaries over KERNEL_BUDGET.
+
+    Each dictionary lists 2^(n-1) words of n symbols, so the listing holds
+    n 2^(c+n-1) symbols; c defaults to 2^(n-1), every progressive
+    dictionary.  An exponent past the budget's bit length refuses whatever
+    it is, so it is capped there and a huge window forms no huge number.
+    """
+    if n < 2:
+        raise WindowTooLarge("window %d under 2" % n)
+    bits = KERNEL_BUDGET.bit_length()
+    count = "2^(2^%d)" % (n - 1) if c is None else "2^%d" % c
+    if c is None:
+        c = 1 << min(n - 1, bits)
+    head = "window %d lists %s dictionaries of 2^%d words of %d symbols" % (n, count, n - 1, n)
+    _check_listing(n << min(c + n - 1, bits), WindowTooLarge, head)
+
+
+def enumerate_dictionaries(n: int, filter: str):
     """Yield dictionaries of window n passing the filter, ascending by mask.
 
     Progressive dictionaries are generated from the 2^(2^(n-1)) completion
     choices rather than all 2^(2^n) subsets.  The admissible ones are the
     linear rules of the 2^(n-1) polynomials of degree n-1, and such a rule
-    *-commutes with the shift exactly when its constant term is 1.
+    *-commutes with the shift exactly when its constant term is 1.  A
+    listing over KERNEL_BUDGET symbols is refused before any is built.
     """
     if filter not in FILTERS:
         raise ValueError("unknown filter %r" % filter)
-    if n < 2 or n > max_n:
-        raise WindowTooLarge("window %d outside 2..%d" % (n, max_n))
+    _check_dictionaries(n, None if filter == "progressive" else n - 1 if filter == "admissible" else n - 2)
     top = 1 << (n - 1)
     if filter == "progressive":
         masks = sorted(progressive_mask(n, c) for c in range(1 << top))
@@ -397,7 +407,7 @@ def kernel_texts(d: Dictionary) -> list:
     walk over the 2^(n-1) states of that completion.
     """
     width = d.window - 1
-    _check_listing(width)
+    _check_kernel(width)
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))

@@ -27,7 +27,8 @@ class KernelTooLarge(ValueError):
 MAX_EXPONENT = 1 << 16
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
-# The most symbols a kernel listing may hold: 2^12 (12 + 2^12) fits, so every degree up to 12 lists.
+# The most symbols any listing may hold: kernels, classifications, enumerated
+# dictionaries and patch rows.  2^12 (12 + 2^12) fits, so every kernel degree up to 12 lists.
 KERNEL_BUDGET = 1 << 25
 
 
@@ -193,18 +194,20 @@ def poly_factor(a: Gf2Poly) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def _check_listing(width: int) -> None:
+def _check_listing(symbols: int, error: type, head: str) -> None:
+    """Refuse a listing of `symbols` symbols over KERNEL_BUDGET with `error`, its message led by `head`."""
+    if symbols > KERNEL_BUDGET:
+        raise error("%s, over the budget of 2^%d symbols" % (head, KERNEL_BUDGET.bit_length() - 1))
+
+
+def _check_kernel(width: int) -> None:
     """Refuse a kernel on `width`-bit states whose listing may exceed KERNEL_BUDGET.
 
     It has 2^width elements, each a preperiod of at most width symbols and a
     period of at most 2^width, so 2^width (width + 2^width) symbols bound it.
     """
-    if (1 << width) * (width + (1 << width)) > KERNEL_BUDGET:
-        raise KernelTooLarge(
-            "a degree-%d kernel lists 2^%d elements of up to %d + 2^%d symbols, "
-            "over the budget of 2^%d symbols"
-            % (width, width, width, width, KERNEL_BUDGET.bit_length() - 1)
-        )
+    head = "a degree-%d kernel lists 2^%d elements of up to %d + 2^%d symbols" % ((width,) * 4)
+    _check_listing((1 << width) * (width + (1 << width)), KernelTooLarge, head)
 
 
 def _kernel_walk(width: int, next_bit) -> list:
@@ -277,7 +280,7 @@ def recurrence_kernel_texts(a: Gf2Poly) -> list:
     d = a.degree
     if d == 0:
         return [":0"]
-    _check_listing(d)
+    _check_kernel(d)
     # State bit d-1-j holds x_{k+j}, so the taps are the low bits reversed.
     taps = int(format(a.bits & ((1 << d) - 1), "0%db" % d)[::-1], 2)
     return _kernel_walk(d, [(state & taps).bit_count() & 1 for state in range(1 << d)])

@@ -69,6 +69,12 @@ class LevelTooLarge(ValueError):
     def entries(self) -> int:
         return 1 << self.power
 
+    @classmethod
+    def check(cls, level: int, power: int) -> None:
+        """Refuse a check at `level` whose largest table has 2^power entries, over TABLE_BUDGET."""
+        if power > TABLE_BUDGET.bit_length() - 1:
+            raise cls(level, power)
+
 
 class FrameTooLarge(ValueError):
     """The generators' degrees need frame Grams beyond GRAM_BUDGET."""
@@ -298,9 +304,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     composite_window = 2 * max_window - 1
     if level < max_window + 2 or level < composite_window - 1:
         raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
-    power = level + max_window - 1
-    if power > TABLE_BUDGET.bit_length() - 1:
-        raise LevelTooLarge(level, power)
+    LevelTooLarge.check(level, level + max_window - 1)
     if not all(m.is_progressive for m in sys.generators):
         raise NotProgressive("isometries need a progressive rule")
     # A square's composite standard frame, the largest, has 4^P entries and an 8^P-step
@@ -482,7 +486,8 @@ def expectation_defect(
     the defect is empty.  For p != q the sandwich is computed at the level
     k + max(deg p, deg q) so both prefix gatherings are defined; the words
     whose diagonal survives (with f = g = 1) are exactly the length-k
-    truncations of the kernel of the difference polynomial.
+    truncations of the kernel of the difference polynomial.  A diagonal
+    level over TABLE_BUDGET is refused before any array is built.
     """
     if _coprimality_witnesses(sys):
         raise InvalidSystem("generators are not pairwise coprime")
@@ -496,15 +501,16 @@ def expectation_defect(
         raise ValueError("f and g must live at or below the requested level")
     if k < max(dp, dq):
         raise LevelTooSmall("level below the degrees of p and q")
-    if poly_p == poly_q:
-        # The diagonal of S_p S_p* is c^2 on every word.
-        c = _inv_root(dp)
-        return DefectReport(k, k, k, (f * g).embed(k).scale(c * c), ())
     working = k + max(dp, dq)
     target = working - dq + dp
     # Entry (v, z) of S_p S_q* is c_p c_q when img_p(v) = img_q(z); the
     # diagonal reads it at the target and working prefixes of one word.
-    diag_level = max(working, target)
+    diag_level = k if poly_p == poly_q else max(working, target)
+    LevelTooLarge.check(k, diag_level)
+    if poly_p == poly_q:
+        # The diagonal of S_p S_p* is c^2 on every word.
+        c = _inv_root(dp)
+        return DefectReport(k, k, k, (f * g).embed(k).scale(c * c), ())
     t = np.arange(1 << diag_level, dtype=np.int64)
     live = (
         mp.image_table(target)[t >> (diag_level - target)]
@@ -539,7 +545,8 @@ def annihilating_bump(
     some length m <= j + max(deg p, deg q) already separates the orbits,
     and the returned level certifies chi S_p S_q* chi = 0: no word under
     the prefix at the target level shares an image with one at the
-    working level.
+    working level.  The tables grow with m, so the search is refused
+    before it starts if those of its last m are over TABLE_BUDGET.
     """
     mp, mq = sys.map_of(p), sys.map_of(q)
     image_p = mp.apply_seq(x)
@@ -552,6 +559,8 @@ def annihilating_bump(
     j = next(i for i in range(1, horizon + 1) if image_p.coord(i) != image_q.coord(i))
     dp, dq = mp.window - 1, mq.window - 1
     bound = j + max(dp, dq)
+    last = bound + max(mp.window, mq.window) + 1
+    LevelTooLarge.check(last, last + max(0, dp - dq))
     for m in range(1, bound + 1):
         u = x.prefix(m)
         working = m + max(mp.window, mq.window) + 1

@@ -86,7 +86,7 @@ def recurrence_prefixes(poly, level):
 def test_criterion_01_window_three_classification(capsys):
     with criterion(capsys, 1, "window-3 classification counts and polynomials"):
         start = time.perf_counter()
-        payload = _classification_payload(3, max_n=5)
+        payload = _classification_payload(3)
         elapsed = time.perf_counter() - start
         assert payload["counts"]["total"] == 256
         assert payload["counts"]["progressive"] == 16
@@ -115,7 +115,7 @@ def test_criterion_01_window_three_classification(capsys):
 
 def test_criterion_02_window_two_unique_star_dictionary(capsys):
     with criterion(capsys, 2, "window 2 has exactly one star-commuting dictionary"):
-        payload = _classification_payload(2, max_n=5)
+        payload = _classification_payload(2)
         stars = [
             row["members"]
             for row in payload["admissible"]

@@ -182,7 +182,7 @@ class TestClassify:
                 ],
             }
             dump = functools.partial(json.dumps, indent=2, sort_keys=True)
-            assert dump(_classification_payload(n, 5)) == dump(oracle)
+            assert dump(_classification_payload(n)) == dump(oracle)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_listing_matches_the_dictionary_route(self, n):
@@ -209,10 +209,25 @@ class TestClassify:
                 for m, p, star in rows
             ],
         }
-        assert _classification_payload(n, n) == oracle
+        assert _classification_payload(n) == oracle
+
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_windows_up_to_the_listing_budget_need_no_flag(self, capsys, n):
+        code, payload = run_json(capsys, ["classify", str(n)])
+        assert code == 0
+        assert payload == _classification_payload(n)
+
+    def test_there_is_no_window_limit_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "5", "--max-n", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-n 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["classify", "--help"])
+        assert "--max-n" not in capsys.readouterr().out
 
     def test_window_out_of_range(self, capsys):
-        for argv in [["classify", "1"], ["classify", "6"], ["classify", "5", "--max-n", "4"]]:
+        for argv in [["classify", "1"], ["classify", "0"], ["classify", "12"]]:
             code, out, err = run(capsys, argv)
             assert code == 2
             assert err.startswith("error:")
@@ -460,7 +475,7 @@ class TestTypedErrors:
     @pytest.mark.parametrize("window", [12, 13, 26, 27, 10**9])
     def test_classify_listing_over_budget_exits_2_at_once(self, capsys, window):
         start = time.perf_counter()
-        code, out, err = run(capsys, ["classify", str(window), "--max-n", str(window), "--json"])
+        code, out, err = run(capsys, ["classify", str(window), "--json"])
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == (
@@ -470,7 +485,7 @@ class TestTypedErrors:
 
     def test_classify_window_11_is_within_budget(self):
         """11 * 4^10 symbols are under 2^25: the largest window the budget admits."""
-        rows = _classification_payload(11, 11)["admissible"]
+        rows = _classification_payload(11)["admissible"]
         assert len(rows) == 1024
         assert sum(len(row["members"]) for row in rows) == 1024 * (1024 * 12 - 1)
 

@@ -2,11 +2,13 @@
 
 import itertools
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import starshift.dictionary as dictionary
 from starshift import (
     Dictionary,
     Gf2Poly,
@@ -276,8 +278,58 @@ class TestEnumeration:
             list(enumerate_dictionaries(1, "progressive"))
         with pytest.raises(ValueError):
             list(enumerate_dictionaries(3, "everything"))
-        # the cap is adjustable
-        assert len(list(enumerate_dictionaries(2, "progressive", max_n=2))) == 4
+        assert len(list(enumerate_dictionaries(2, "progressive"))) == 4
+
+
+class TestListingBudget:
+    """enumerate_dictionaries admits a window by the size of its listing alone."""
+
+    @pytest.mark.parametrize(
+        "n, filter, count",
+        [(5, "progressive", 65536), (11, "admissible", 1024), (12, "admissible_and_star_commutes_with_shift", 1024)],
+    )
+    def test_largest_admitted_windows(self, n, filter, count):
+        found = list(enumerate_dictionaries(n, filter))
+        assert len(found) == count
+        assert count * n << (n - 1) <= 1 << 25
+
+    @pytest.mark.parametrize(
+        "n, filter, count",
+        [
+            (6, "progressive", "2^(2^5)"),
+            (12, "admissible", "2^11"),
+            (13, "admissible_and_star_commutes_with_shift", "2^11"),
+        ],
+    )
+    def test_first_refused_windows(self, monkeypatch, n, filter, count):
+        def refuse(*args):
+            raise AssertionError("a dictionary was built")
+
+        monkeypatch.setattr(dictionary, "progressive_mask", refuse)
+        monkeypatch.setattr(dictionary, "_linear_table", refuse)
+        start = time.perf_counter()
+        with pytest.raises(WindowTooLarge) as info:
+            next(enumerate_dictionaries(n, filter))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "window %d lists %s dictionaries of 2^%d words of %d symbols, "
+            "over the budget of 2^25 symbols" % (n, count, n - 1, n)
+        )
+
+    @pytest.mark.parametrize("filter, count", zip(dictionary.FILTERS, ("2^(2^999999999)", "2^999999999", "2^999999998")))
+    def test_huge_and_small_windows_are_refused_at_once(self, filter, count):
+        n = 10**9
+        start = time.perf_counter()
+        with pytest.raises(WindowTooLarge) as info:
+            next(enumerate_dictionaries(n, filter))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "window %d lists %s dictionaries of 2^%d words of %d symbols, "
+            "over the budget of 2^25 symbols" % (n, count, n - 1, n)
+        )
+        for n in (1, 0, -3):
+            with pytest.raises(WindowTooLarge, match="^window %d under 2$" % n):
+                next(enumerate_dictionaries(n, filter))
 
 
 class TestKernelElements:

@@ -8,7 +8,8 @@ the file from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
-and say in the change which calls moved and why.
+which prints each call it adds, removes or re-digests against the file
+it replaces, and say in the change which calls moved and why.
 """
 
 import contextlib
@@ -69,13 +70,10 @@ def calls() -> list:
     for window in (25, 30):
         out.append(["analyze", "0" * window])
         out.append(["kernel", "--dict", "1" * window])
-    for n in (2, 3, 4, 5):
+    # Every window the listing budget admits (window 11 lists 2^20 rows' worth of words).
+    for n in range(2, 12):
         out.append(["classify", str(n), "--json"])
         out.append(["classify", str(n)])
-    # Every window up to the listing budget (window 11 lists 2^20 rows' worth of words).
-    for n in range(6, 12):
-        out.append(["classify", str(n), "--max-n", str(n), "--json"])
-        out.append(["classify", str(n), "--max-n", str(n)])
     out += [
         ["certify", "t", "1+t"],
         ["certify", "t", "t+t^2", "--json"],
@@ -162,6 +160,13 @@ def test_workload_scale_output_is_byte_identical(argv):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_cli.py --write")
+    before = json.loads(GOLDEN.read_text("utf-8")) if GOLDEN.exists() else {}
     table = {" ".join(argv): digest(argv) for argv in calls()}
     GOLDEN.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n", "utf-8")
+    for key in sorted(before.keys() - table.keys()):
+        print("removed %s: %s" % (key, before[key]))
+    for key in sorted(table.keys() - before.keys()):
+        print("added %s: %s" % (key, table[key]))
+    for key in sorted(key for key in table.keys() & before.keys() if table[key] != before[key]):
+        print("re-digested %s: %s -> %s" % (key, before[key], table[key]))
     print("%d calls written to %s" % (len(table), GOLDEN))

@@ -20,7 +20,7 @@ from starshift import (
     stack_orbit,
 )
 from starshift.gf2poly import KERNEL_BUDGET
-from starshift.ledrappier import _check_listing, _listing_symbols
+from starshift.ledrappier import _check_rows, _listing_symbols
 
 
 def all_words(length):
@@ -206,10 +206,10 @@ class TestListingBudget:
     def test_a_base_of_8191_symbols_is_the_largest_full_patch(self):
         assert _listing_symbols(8191, 8190) == 8191 * 8192 // 2 <= KERNEL_BUDGET
         assert _listing_symbols(8192, 8191) == 8192 * 8193 // 2 > KERNEL_BUDGET
-        _check_listing(8191, 8190)
+        _check_rows(8191, 8190)
         message = "^a base of 8192 symbols lists 8192 rows, 33558528 symbols in all, over the budget of 2\\^25 symbols$"
         with pytest.raises(PatchTooLarge, match=message):
-            _check_listing(8192, 8191)
+            _check_rows(8192, 8191)
 
     def test_stacks_are_refused_before_any_row(self, monkeypatch):
         def refuse(*args):

@@ -222,7 +222,7 @@ def test_admissible_enumeration_skips_progressive_masks(monkeypatch):
         raise AssertionError("walked the progressive masks")
 
     monkeypatch.setattr(dictionary, "progressive_mask", refuse)
-    found = list(enumerate_dictionaries(6, "admissible", max_n=6))
+    found = list(enumerate_dictionaries(6, "admissible"))
     assert len(found) == 32
     assert [d.members for d in found] == sorted(
         table_by_windows(6, Gf2Poly(32 | low)) for low in range(32)

@@ -341,6 +341,23 @@ class TestVerifyRelations:
         assert verify_relations(sys, 6) == verify_relations(sys, 6)
 
 
+def refuse_tables(monkeypatch):
+    """Make any image table, or any arange over the table budget, fail the test."""
+    import starshift.dictionary as dictionary
+
+    def refuse(m, length):
+        raise AssertionError("an image table was built")
+
+    arange = np.arange
+
+    def small_arange(stop, *args, **kwargs):
+        assert stop <= 1 << 24, "an array of %d entries was built" % stop
+        return arange(stop, *args, **kwargs)
+
+    monkeypatch.setattr(dictionary, "_image_table", refuse)
+    monkeypatch.setattr(np, "arange", small_arange)
+
+
 class TestExpectationDefect:
     def setup_method(self):
         self.rank1 = DynamicalSystem.from_polys([T], ["s"])
@@ -421,6 +438,21 @@ class TestExpectationDefect:
         assert data["working_level"] == 5
         assert data["output_level"] == 4
         assert CylinderFunction.deserialize(data["diagonal"]) == report.diagonal
+
+    def test_level_budget_refuses_before_any_array(self, monkeypatch):
+        """The diagonal's level, k + 1 here, is checked like verify's table level."""
+        refuse_tables(monkeypatch)
+        p, q = MonoidElement((1, 0)), MonoidElement((0, 1))
+        for level, power in ((24, 25), (30, 31)):
+            with pytest.raises(LevelTooLarge) as info:
+                expectation_defect(self.coprime, p, q, level)
+            assert str(info.value) == (
+                "level %d needs an image table of 2^%d = %d entries, over the budget of 2^24"
+                % (level, power, 1 << power)
+            )
+        # For p = q the diagonal is read at level k itself.
+        with pytest.raises(LevelTooLarge, match="^level 25 needs an image table of 2\\^25 "):
+            expectation_defect(self.coprime, p, p, 25)
 
     def test_errors(self):
         p, q = MonoidElement((1,)), MonoidElement((2,))
@@ -512,3 +544,14 @@ class TestAnnihilatingBump:
         monkeypatch.setattr(WindowMap, "image_table", shared_images)
         with pytest.raises(NoSeparation, match="no prefix of length up to 2 separates"):
             annihilating_bump(self.coprime, self.p, self.q, PeriodicSeq.parse("1:0"))
+
+    def test_level_budget_refuses_before_any_table(self, monkeypatch):
+        """x = 0^40 1:0 first separates at coordinate 41, so the search may reach
+        prefix 42 and its tables of 2^45 entries: refused before the first."""
+        refuse_tables(monkeypatch)
+        x = PeriodicSeq.parse("0" * 40 + "1:0")
+        with pytest.raises(LevelTooLarge) as info:
+            annihilating_bump(self.coprime, self.p, self.q, x)
+        assert str(info.value) == (
+            "level 45 needs an image table of 2^45 = %d entries, over the budget of 2^24" % (1 << 45)
+        )

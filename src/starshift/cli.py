@@ -9,10 +9,10 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+from .budget import admit_dictionaries
 from .dictionary import (
     Dictionary,
     WindowMap,
-    _check_dictionaries,
     _linear_table,
     classify_dictionary,
     kernel_texts,
@@ -190,7 +190,7 @@ def _classification_payload(n: int) -> dict:
     words at the 1s of the polynomial's rule table, and the terms of its
     text are the powers at the 1s of the polynomial itself.
     """
-    _check_dictionaries(n, n - 1)
+    admit_dictionaries(n, n - 1)
     top = 1 << (n - 1)
     spec = "0%db" % n
     words = [format(v, spec) for v in range(1 << n)]

@@ -367,7 +367,7 @@ def inner_product(m: WindowMap, f: CylinderFunction, g: CylinderFunction) -> Cyl
     return transfer(m, f * g)
 
 
-# One entry per degree 0-10, every degree the relation suite's GRAM_BUDGET admits.
+# One entry per degree 0-10: every generator degree `budget.admit_frame` admits, and its square.
 @functools.lru_cache(maxsize=11)
 def _standard_members(d: int) -> tuple:
     """The degree-d standard frame members, built once.

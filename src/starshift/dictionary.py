@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 
 from ._numpy import np
-from .gf2poly import KERNEL_BUDGET, Gf2Poly, _check_kernel, _check_listing, _kernel_walk, _sequences
+from .budget import admit_dictionaries, admit_kernel, admit_window
+from .gf2poly import Gf2Poly, _kernel_walk, _sequences
 from .words import PeriodicSeq, Word, _check_bits
 
 
@@ -26,10 +27,6 @@ class WordTooShort(ValueError):
 
 class NotProgressive(ValueError):
     """Operation requires a progressive dictionary or rule."""
-
-
-class WindowTooLarge(ValueError):
-    """A window under 2, or one whose rule table or listing is over its budget."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +68,10 @@ class Dictionary:
     def _from_values(cls, window: int, values) -> "Dictionary":
         """The dictionary of these member values, its mask set in one pass.
 
-        The window is checked against TABLE_BUDGET first, as the rule of a
-        window-n map is a table of 2^n entries.
+        The window is admitted first, as the rule of a window-n map is a
+        table of 2^n entries.
         """
-        if window > TABLE_BUDGET.bit_length() - 1:
-            raise WindowTooLarge(
-                "window %d needs a rule table of 2^%d entries, over the budget of 2^%d"
-                % (window, window, TABLE_BUDGET.bit_length() - 1)
-            )
+        admit_window(window)
         mask = bytearray(((1 << window) + 7) // 8)
         for v in values:
             mask[v >> 3] |= 1 << (v & 7)
@@ -195,6 +188,7 @@ class WindowMap:
     @property
     def rule(self) -> int:
         if self._rule is None:
+            admit_window(self.window)
             object.__setattr__(self, "_rule", _linear_table(self.window, self.linear_poly.bits))
         return self._rule
 
@@ -217,8 +211,9 @@ class WindowMap:
 
         The completions of prefix a are the table bits 2a and 2a+1, so the
         rule is progressive when the table differs from its shift by one
-        at every even bit.
+        at every even bit.  The window is admitted before either mask.
         """
+        admit_window(self.window)
         evens = ((1 << (1 << self.window)) - 1) // 3
         return ((self.rule ^ (self.rule >> 1)) & evens) == evens
 
@@ -245,6 +240,7 @@ class WindowMap:
         n = self.window + other.window - 1
         if self.linear_poly is not None and other.linear_poly is not None:
             return WindowMap(n, None, self.linear_poly * other.linear_poly)
+        admit_window(n)
         bits = _rule_bits(self)[_image_table(other, n)]
         return WindowMap(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
 
@@ -265,10 +261,6 @@ def apply_window_map(m, w: Word) -> Word:
     for j in range(w.length - n + 1):
         out = (out << 1) | m.rule_bit((w.bits >> (w.length - n - j)) & mask)
     return Word(w.length - n + 1, out)
-
-
-# The most table entries one check may build: image tables, rule tables, frames.
-TABLE_BUDGET = 1 << 24
 
 
 # Bounded, so the tables of one run are reused without keeping every
@@ -359,24 +351,6 @@ def progressive_mask(n: int, choice: int) -> int:
     return mask
 
 
-def _check_dictionaries(n: int, c: int | None = None) -> None:
-    """Refuse a window under 2, or a listing of 2^c window-n dictionaries over KERNEL_BUDGET.
-
-    Each dictionary lists 2^(n-1) words of n symbols, so the listing holds
-    n 2^(c+n-1) symbols; c defaults to 2^(n-1), every progressive
-    dictionary.  An exponent past the budget's bit length refuses whatever
-    it is, so it is capped there and a huge window forms no huge number.
-    """
-    if n < 2:
-        raise WindowTooLarge("window %d under 2" % n)
-    bits = KERNEL_BUDGET.bit_length()
-    count = "2^(2^%d)" % (n - 1) if c is None else "2^%d" % c
-    if c is None:
-        c = 1 << min(n - 1, bits)
-    head = "window %d lists %s dictionaries of 2^%d words of %d symbols" % (n, count, n - 1, n)
-    _check_listing(n << min(c + n - 1, bits), WindowTooLarge, head)
-
-
 def enumerate_dictionaries(n: int, filter: str):
     """Yield dictionaries of window n passing the filter, ascending by mask.
 
@@ -388,7 +362,7 @@ def enumerate_dictionaries(n: int, filter: str):
     """
     if filter not in FILTERS:
         raise ValueError("unknown filter %r" % filter)
-    _check_dictionaries(n, None if filter == "progressive" else n - 1 if filter == "admissible" else n - 2)
+    admit_dictionaries(n, None if filter == "progressive" else n - 1 if filter == "admissible" else n - 2)
     top = 1 << (n - 1)
     if filter == "progressive":
         masks = sorted(progressive_mask(n, c) for c in range(1 << top))
@@ -407,7 +381,7 @@ def kernel_texts(d: Dictionary) -> list:
     walk over the 2^(n-1) states of that completion.
     """
     width = d.window - 1
-    _check_kernel(width)
+    admit_kernel(width)
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))

@@ -12,24 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import admit_exponent, admit_kernel
 from .words import PeriodicSeq
 
 
 class ZeroPolynomial(ValueError):
     """Raised where a nonzero polynomial is required."""
-
-
-class KernelTooLarge(ValueError):
-    """A kernel listing would exceed KERNEL_BUDGET symbols."""
-
-
-# The largest exponent `Gf2Poly.parse` reads, far above every degree a budget admits.
-MAX_EXPONENT = 1 << 16
-_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
-
-# The most symbols any listing may hold: kernels, classifications, enumerated
-# dictionaries and patch rows.  2^12 (12 + 2^12) fits, so every kernel degree up to 12 lists.
-KERNEL_BUDGET = 1 << 25
 
 
 def _mul(a: int, b: int) -> int:
@@ -94,12 +82,8 @@ class Gf2Poly:
             elif term == "t":
                 bits ^= 2
             elif term.startswith("t^") and term[2:].isascii() and term[2:].isdigit():
-                # Compare the digit count first: `int` refuses over 4300 digits.
                 digits = term[2:].lstrip("0") or "0"
-                if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
-                    raise ValueError(
-                        "exponent %s over the limit of 2^%d" % (digits, MAX_EXPONENT.bit_length() - 1)
-                    )
+                admit_exponent(digits)
                 bits ^= 1 << int(digits)
             else:
                 raise ValueError("cannot parse polynomial term %r" % term)
@@ -194,22 +178,6 @@ def poly_factor(a: Gf2Poly) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def _check_listing(symbols: int, error: type, head: str) -> None:
-    """Refuse a listing of `symbols` symbols over KERNEL_BUDGET with `error`, its message led by `head`."""
-    if symbols > KERNEL_BUDGET:
-        raise error("%s, over the budget of 2^%d symbols" % (head, KERNEL_BUDGET.bit_length() - 1))
-
-
-def _check_kernel(width: int) -> None:
-    """Refuse a kernel on `width`-bit states whose listing may exceed KERNEL_BUDGET.
-
-    It has 2^width elements, each a preperiod of at most width symbols and a
-    period of at most 2^width, so 2^width (width + 2^width) symbols bound it.
-    """
-    head = "a degree-%d kernel lists 2^%d elements of up to %d + 2^%d symbols" % ((width,) * 4)
-    _check_listing((1 << width) * (width + (1 << width)), KernelTooLarge, head)
-
-
 def _kernel_walk(width: int, next_bit) -> list:
     """The sequences of a progressive rule on `width`-bit states, as sorted "pre:per" texts.
 
@@ -280,7 +248,7 @@ def recurrence_kernel_texts(a: Gf2Poly) -> list:
     d = a.degree
     if d == 0:
         return [":0"]
-    _check_kernel(d)
+    admit_kernel(d)
     # State bit d-1-j holds x_{k+j}, so the taps are the low bits reversed.
     taps = int(format(a.bits & ((1 << d) - 1), "0%db" % d)[::-1], 2)
     return _kernel_walk(d, [(state & taps).bit_count() & 1 for state in range(1 << d)])

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import admit_rows
 from .dictionary import Dictionary, NotProgressive, WordTooShort, apply_window_map
-from .gf2poly import _check_listing
 from .words import Word
-
-
-class PatchTooLarge(ValueError):
-    """A row listing would exceed KERNEL_BUDGET symbols."""
-
 
 LEDRAPPIER = Dictionary.from_text("01,10")
 
@@ -67,23 +62,11 @@ class TrianglePatch:
         return "\n".join(str(row) for row in self.rows)
 
 
-def _listing_symbols(length: int, steps: int, window: int = 2) -> int:
-    """The symbols in rows 0..steps over a base of `length`, each row window - 1 shorter."""
-    return (steps + 1) * length - (window - 1) * steps * (steps + 1) // 2
-
-
-def _check_rows(length: int, steps: int, window: int = 2) -> None:
-    """Refuse rows 0..steps over a base of `length` if they list more than KERNEL_BUDGET symbols."""
-    symbols = _listing_symbols(length, steps, window)
-    head = "a base of %d symbols lists %d rows, %d symbols in all" % (length, steps + 1, symbols)
-    _check_listing(symbols, PatchTooLarge, head)
-
-
 def complete_patch(base: Word) -> TrianglePatch:
     """The full triangle over a base row, down to a single cell."""
     if base.length < 1:
         raise WordTooShort("base row must be nonempty")
-    _check_rows(base.length, base.length - 1)
+    admit_rows(base.length, base.length - 1)
     rows = [base]
     while rows[-1].length > 1:
         rows.append(_pair_sums(rows[-1]))
@@ -109,7 +92,7 @@ def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
         raise ValueError("steps must be nonnegative, got %d" % steps)
     if base.length < steps * (d.window - 1) + 1:
         raise WordTooShort("base too short for %d steps" % steps)
-    _check_rows(base.length, steps, d.window)
+    admit_rows(base.length, steps, d.window)
     rows = [base]
     for _ in range(steps):
         rows.append(apply_window_map(d, rows[-1]))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
+from .budget import admit_frame, admit_level
 from .cylinder import (
     CylinderFunction,
     NumeratorOverflow,
@@ -36,48 +37,13 @@ from .cylinder import (
     alpha,
     standard_frame,
 )
-from .dictionary import TABLE_BUDGET, NotProgressive, WindowMap
+from .dictionary import NotProgressive, WindowMap
 from .gf2poly import Gf2Poly, poly_gcd
 from .starcomm import DynamicalSystem, InvalidSystem, MonoidElement, _coprimality_witnesses
 from .words import PeriodicSeq, Word
 
-# The most frame Gram multiply-adds one check may need; TABLE_BUDGET bounds its tables.
-GRAM_BUDGET = 1 << 30
-
-
 class LevelTooSmall(ValueError):
     """The requested level cannot host the relation checks."""
-
-
-class LevelTooLarge(ValueError):
-    """The requested level needs image tables beyond the entry budget."""
-
-    def __init__(self, level: int, power: int):
-        self.level = level
-        self.power = power
-        # The count in decimal only while it stays within Python's default
-        # 4300-digit limit for int to str conversion.
-        count = "2^%d" % power
-        if power * math.log10(2) < 4300:
-            count += " = %d" % self.entries
-        super().__init__(
-            "level %d needs an image table of %s entries, over the budget of 2^%d"
-            % (level, count, TABLE_BUDGET.bit_length() - 1)
-        )
-
-    @property
-    def entries(self) -> int:
-        return 1 << self.power
-
-    @classmethod
-    def check(cls, level: int, power: int) -> None:
-        """Refuse a check at `level` whose largest table has 2^power entries, over TABLE_BUDGET."""
-        if power > TABLE_BUDGET.bit_length() - 1:
-            raise cls(level, power)
-
-
-class FrameTooLarge(ValueError):
-    """The generators' degrees need frame Grams beyond GRAM_BUDGET."""
 
 
 class NoSeparation(ValueError):
@@ -304,13 +270,11 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     composite_window = 2 * max_window - 1
     if level < max_window + 2 or level < composite_window - 1:
         raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
-    LevelTooLarge.check(level, level + max_window - 1)
+    admit_level(level, level + max_window - 1)
     if not all(m.is_progressive for m in sys.generators):
         raise NotProgressive("isometries need a progressive rule")
-    # A square's composite standard frame, the largest, has 4^P entries and an 8^P-step
-    # Gram for P twice the top degree; 8^P <= GRAM_BUDGET gives 4^P <= TABLE_BUDGET.
-    if 8 ** (2 * max_window - 2) > GRAM_BUDGET:
-        raise FrameTooLarge("degree %d needs frame Grams over GRAM_BUDGET" % (max_window - 1))
+    # A square's composite standard frame is the largest frame array the suite builds.
+    admit_frame(max_window - 1)
     k = level
     relations = {
         "I": True,
@@ -506,7 +470,7 @@ def expectation_defect(
     # Entry (v, z) of S_p S_q* is c_p c_q when img_p(v) = img_q(z); the
     # diagonal reads it at the target and working prefixes of one word.
     diag_level = k if poly_p == poly_q else max(working, target)
-    LevelTooLarge.check(k, diag_level)
+    admit_level(k, diag_level)
     if poly_p == poly_q:
         # The diagonal of S_p S_p* is c^2 on every word.
         c = _inv_root(dp)
@@ -560,7 +524,7 @@ def annihilating_bump(
     dp, dq = mp.window - 1, mq.window - 1
     bound = j + max(dp, dq)
     last = bound + max(mp.window, mq.window) + 1
-    LevelTooLarge.check(last, last + max(0, dp - dq))
+    admit_level(last, last + max(0, dp - dq))
     for m in range(1, bound + 1):
         u = x.prefix(m)
         working = m + max(mp.window, mq.window) + 1

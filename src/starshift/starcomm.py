@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
+from .budget import admit_level
 from .dictionary import WindowMap
 from .gf2poly import Gf2Poly, ZeroPolynomial, poly_factor, poly_gcd, recurrence_kernel
 from .words import PeriodicSeq, Word
@@ -84,9 +85,10 @@ def star_commute_windows(m1: WindowMap, m2: WindowMap) -> StarDecision:
     (a Bezout argument bounds the needed length by deg1 + deg2 + 6); for
     nonlinear progressive rules this is a semi-decision at fixed depth.
     """
+    length = m1.window + m2.window + STAR_DEPTH
+    admit_level(length, length)
     if m1.compose(m2).rule != m2.compose(m1).rule:
         raise NonCommutingMaps("window rules do not commute")
-    length = m1.window + m2.window + STAR_DEPTH
     img1 = m1.image_table(length)
     img2 = m2.image_table(length)
     combined = (img1 << (length - m2.window + 1)) | img2

@@ -327,7 +327,7 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "t", "1+t+t^7", "--level", "14"])
         assert code == 2
         assert out == ""
-        assert err == "error: degree 7 needs frame Grams over GRAM_BUDGET\n"
+        assert err == "error: degree 7 needs a composite frame of 2^29 entries, over the budget of 2^24\n"
 
 
 class TestLedrappier:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import starshift.budget as budget
 import starshift.gf2poly as gf2poly
 from starshift import (
     Gf2Poly,
@@ -266,10 +267,10 @@ class TestRecurrenceKernel:
             recurrence_kernel(Gf2Poly.zero())
 
     def test_listing_budget_admits_degree_12_and_refuses_13(self):
-        assert (1 << 12) * (12 + (1 << 12)) <= gf2poly.KERNEL_BUDGET < (1 << 13) * (13 + (1 << 13))
-        gf2poly._check_kernel(12)
+        assert (1 << 12) * (12 + (1 << 12)) <= budget.KERNEL_BUDGET < (1 << 13) * (13 + (1 << 13))
+        budget.admit_kernel(12)
         with pytest.raises(KernelTooLarge, match="^a degree-13 kernel lists 2\\^13 elements"):
-            gf2poly._check_kernel(13)
+            budget.admit_kernel(13)
 
     def test_over_budget_kernel_is_refused_before_the_walk(self, monkeypatch):
         def refuse(width, next_bit):

@@ -19,8 +19,7 @@ from starshift import (
     conjugate_vertical,
     stack_orbit,
 )
-from starshift.gf2poly import KERNEL_BUDGET
-from starshift.ledrappier import _check_rows, _listing_symbols
+from starshift.budget import KERNEL_BUDGET, admit_rows, row_symbols
 
 
 def all_words(length):
@@ -195,21 +194,21 @@ class TestListingBudget:
         for length in range(1, 9):
             for w in all_words(length)[:3]:
                 rows = complete_patch(w).rows
-                assert sum(r.length for r in rows) == _listing_symbols(length, length - 1)
+                assert sum(r.length for r in rows) == row_symbols(length, length - 1)
                 for steps in range(length):
                     rows = stack_orbit(LEDRAPPIER, w, steps)
-                    assert sum(r.length for r in rows) == _listing_symbols(length, steps)
+                    assert sum(r.length for r in rows) == row_symbols(length, steps)
                 for steps in range((length + 1) // 2):
                     rows = stack_orbit(xor3, w, steps)
-                    assert sum(r.length for r in rows) == _listing_symbols(length, steps, 3)
+                    assert sum(r.length for r in rows) == row_symbols(length, steps, 3)
 
     def test_a_base_of_8191_symbols_is_the_largest_full_patch(self):
-        assert _listing_symbols(8191, 8190) == 8191 * 8192 // 2 <= KERNEL_BUDGET
-        assert _listing_symbols(8192, 8191) == 8192 * 8193 // 2 > KERNEL_BUDGET
-        _check_rows(8191, 8190)
+        assert row_symbols(8191, 8190) == 8191 * 8192 // 2 <= KERNEL_BUDGET
+        assert row_symbols(8192, 8191) == 8192 * 8193 // 2 > KERNEL_BUDGET
+        admit_rows(8191, 8190)
         message = "^a base of 8192 symbols lists 8192 rows, 33558528 symbols in all, over the budget of 2\\^25 symbols$"
         with pytest.raises(PatchTooLarge, match=message):
-            _check_rows(8192, 8191)
+            admit_rows(8192, 8191)
 
     def test_stacks_are_refused_before_any_row(self, monkeypatch):
         def refuse(*args):

@@ -67,6 +67,24 @@ def test_array_commands_load_numpy(argv):
     assert core_loaded_after(argv) == [0, True]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "t", "--level", "40"],
+        ["verify", "t", "1+t+t^6", "--level", "12"],
+        ["analyze", "0" * 25],
+        ["kernel", "--poly", "1+t^13"],
+        ["classify", "12"],
+        ["ledrappier", "0" * 8192],
+        ["kernel", "--poly", "t^65537"],
+    ],
+    ids=["verify-level", "verify-frame", "analyze-window", "kernel-degree", "classify", "ledrappier", "kernel-exponent"],
+)
+def test_refusals_read_no_array(argv):
+    """Admission is predicted from the input alone: a refused call exits 2 before numpy loads."""
+    assert core_loaded_after(argv) == [2, False]
+
+
 def test_numpy_imported_first_is_used_as_is():
     code = (
         "import json, sys, types\n"

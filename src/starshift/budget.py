@@ -23,7 +23,11 @@ class OverBudget(ValueError):
 
 
 class WindowTooLarge(OverBudget):
-    """A window under 2, or one whose rule table or listing is over its budget."""
+    """A window whose rule table or listing is over its budget."""
+
+
+class WindowTooSmall(ValueError):
+    """A window under 2, which has no dictionaries to list: a bad input, not a budget refusal."""
 
 
 class LevelTooLarge(OverBudget):
@@ -105,7 +109,7 @@ def admit_dictionaries(n: int, c: int | None = None) -> None:
     it is, so it is capped there and a huge window forms no huge number.
     """
     if n < 2:
-        raise WindowTooLarge("window %d under 2" % n)
+        raise WindowTooSmall("window %d under 2" % n)
     bits = KERNEL_BUDGET.bit_length()
     count = "2^(2^%d)" % (n - 1) if c is None else "2^%d" % c
     if c is None:

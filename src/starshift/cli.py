@@ -18,7 +18,7 @@ from .dictionary import (
     kernel_texts,
 )
 from .gf2poly import Gf2Poly, recurrence_kernel_texts
-from .ledrappier import LEDRAPPIER, complete_patch, conjugate_vertical, stack_orbit
+from .ledrappier import LEDRAPPIER, conjugate_vertical, stack_orbit, triangle_rows
 from .matrixmodel import verify_relations
 from .starcomm import (
     DynamicalSystem,
@@ -107,20 +107,17 @@ def _analysis_payload(d: Dictionary) -> dict:
     if not record.progressive:
         return payload
     payload["kernel"] = kernel_texts(d)
-    decision = star_commute_windows(WindowMap.shift(), d.to_window_map())
-    indep = {
-        "strongly_independent": None,
-        "independent": None,
-        "star_commute": None,
-        "diagram_search": decision.star,
-        "shared_kernel_witness": None,
-    }
+    keys = ("strongly_independent", "independent", "star_commute", "diagram_search", "shared_kernel_witness")
+    indep = dict.fromkeys(keys)
     poly = record.polynomial
-    if poly is not None and not poly.is_zero and poly.degree >= 1:
+    # A linear rule (degree n-1 >= 1) is decided by its gcd with t, a nonlinear one by the diagram search.
+    if poly is None:
+        indep["diagram_search"] = star_commute_windows(WindowMap.shift(), d.to_window_map()).star
+    else:
         profile = independence_profile(Gf2Poly.t(), poly)
         indep["strongly_independent"] = profile.strongly_independent
         indep["independent"] = profile.independent
-        indep["star_commute"] = profile.star_commute
+        indep["star_commute"] = indep["diagram_search"] = profile.star_commute
         if profile.shared_kernel_witness is not None:
             indep["shared_kernel_witness"] = str(profile.shared_kernel_witness)
         system = DynamicalSystem.from_polys([Gf2Poly.t(), poly], ["sigma", "theta"])
@@ -307,7 +304,7 @@ def _render_relations(payload: dict) -> None:
 def _ledrappier_payload(base_text: str, steps: int | None) -> dict:
     base = Word.from_str(base_text)
     if steps is None:
-        rows = [str(r) for r in complete_patch(base).rows]
+        rows = [format(bits, "0%db" % (base.length - i)) for i, bits in enumerate(triangle_rows(base))]
     else:
         rows = [str(r) for r in stack_orbit(LEDRAPPIER, base, steps)]
     agree = len(rows) < 2 or rows[1] == str(conjugate_vertical(base).prefix(len(rows[1])))

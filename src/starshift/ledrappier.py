@@ -62,15 +62,20 @@ class TrianglePatch:
         return "\n".join(str(row) for row in self.rows)
 
 
-def complete_patch(base: Word) -> TrianglePatch:
-    """The full triangle over a base row, down to a single cell."""
+def triangle_rows(base: Word) -> list:
+    """The bits of the full triangle's rows over a base row, widest first; row i has base.length - i bits."""
     if base.length < 1:
         raise WordTooShort("base row must be nonempty")
     admit_rows(base.length, base.length - 1)
-    rows = [base]
-    while rows[-1].length > 1:
-        rows.append(_pair_sums(rows[-1]))
-    return TrianglePatch(tuple(rows))
+    rows = [base.bits]
+    for width in range(base.length - 1, 0, -1):
+        rows.append((rows[-1] ^ rows[-1] >> 1) & ((1 << width) - 1))
+    return rows
+
+
+def complete_patch(base: Word) -> TrianglePatch:
+    """The full triangle over a base row, down to a single cell."""
+    return TrianglePatch(tuple(Word(base.length - i, bits) for i, bits in enumerate(triangle_rows(base))))
 
 
 def conjugate_vertical(base: Word) -> Word:

@@ -6,9 +6,10 @@ For finite carriers this is decided directly from that definition; the
 equivalent fiber conditions are test oracles.  For the linear
 sliding-window maps given by polynomials a, b over GF(2), *-commutation,
 strong independence (trivial kernel intersection) and independence
-(ker a + ker b = ker ab) all collapse to gcd(a, b) = 1, so the
-independence profile is read off the gcd; the kernel-level definitions
-remain available as `star_commutes_on_kernel` and `recurrence_kernel`.
+(ker a + ker b = ker ab) all collapse to gcd(a, b) = 1, read off for the
+independence profile and for `analyze` on a linear rule; nonlinear rules
+have only `star_commute_windows`.  The kernel-level definitions remain
+available as `star_commutes_on_kernel` and `recurrence_kernel`.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def star_commute_windows(m1: WindowMap, m2: WindowMap) -> StarDecision:
     """Word-level *-commutation of two commuting sliding-window maps.
 
     Checks injectivity of m2 on word-level m1-fibers over all words of
-    length n1 + n2 + STAR_DEPTH.  For linear maps this depth is exact
-    (a Bezout argument bounds the needed length by deg1 + deg2 + 6); for
-    nonlinear progressive rules this is a semi-decision at fixed depth.
+    length n1 + n2 + STAR_DEPTH: exact for linear maps (a Bezout argument
+    bounds the length by deg1 + deg2 + 6), where it is the tests' oracle
+    of the gcd route, and a fixed-depth semi-decision for nonlinear rules,
+    the only ones `analyze` builds its 2^(n1+n2+4)-entry image tables for.
     """
     length = m1.window + m2.window + STAR_DEPTH
     admit_level(length, length)

@@ -13,16 +13,22 @@ import jsonschema
 import pytest
 
 import starshift
+import starshift.cli as cli
+import starshift.dictionary as dictionary
 from starshift import (
     CylinderFunction,
     Dictionary,
     Gf2Poly,
     WindowMap,
+    certify_system,
     classify_dictionary,
     enumerate_dictionaries,
+    independence_profile,
+    star_commute_windows,
     star_commutes_on_kernel,
 )
-from starshift.cli import _classification_payload, build_parser, main
+from starshift.cli import _classification_payload, _dumps, build_parser, main
+from starshift.starcomm import STAR_DEPTH, DynamicalSystem
 
 SCHEMA = json.loads(
     resources.files("starshift").joinpath("schemas/cli.schema.json").read_text("utf-8")
@@ -118,6 +124,63 @@ class TestAnalyze:
     )
     def test_malformed_dictionary_text_keeps_its_error(self, capsys, text, message):
         assert run(capsys, ["analyze", text]) == (2, "", "error: %s\n" % message)
+
+
+def search_route_payload(d):
+    """`analyze`'s report with `diagram_search` from the word-level search on
+    every progressive dictionary, the route it took before linear ones were
+    read off the gcd."""
+    record = classify_dictionary(d)
+    profile = independence_profile(Gf2Poly.t(), record.polynomial)
+    witness = profile.shared_kernel_witness
+    indep = {
+        "strongly_independent": profile.strongly_independent,
+        "independent": profile.independent,
+        "star_commute": profile.star_commute,
+        "diagram_search": star_commute_windows(WindowMap.shift(), d.to_window_map()).star,
+        "shared_kernel_witness": None if witness is None else str(witness),
+    }
+    system = DynamicalSystem.from_polys([Gf2Poly.t(), record.polynomial], ["sigma", "theta"])
+    return {
+        "kind": "analysis",
+        "record": record.to_json_dict(),
+        "kernel": dictionary.kernel_texts(d),
+        "independence_vs_shift": indep,
+        "certificate": certify_system(system).to_json_dict(),
+    }
+
+
+class TestAnalyzeRoutes:
+    """A linear dictionary's diagram search is its gcd with t; only a nonlinear one is searched."""
+
+    class Searched(Exception):
+        pass
+
+    def test_linear_dictionaries_never_reach_the_search(self, monkeypatch, capsys):
+        """Windows 2-9: with the search made to raise, every report is byte-identical
+        to the search route's, and no table of the search's word length is built."""
+        lengths = []
+        image_table = dictionary._image_table
+
+        def recording(m, length):
+            lengths.append(length)
+            return image_table(m, length)
+
+        expected = {}
+        for n in range(2, 10):
+            for d in enumerate_dictionaries(n, "admissible"):
+                expected[str(d)] = (n, _dumps(search_route_payload(d)) + "\n")
+
+        def searched(*args):
+            raise self.Searched()
+
+        monkeypatch.setattr(cli, "star_commute_windows", searched)
+        monkeypatch.setattr(dictionary, "_image_table", recording)
+        for members, (n, text) in expected.items():
+            assert run(capsys, ["analyze", members, "--json"]) == (0, text, "")
+            assert 2 + n + STAR_DEPTH not in lengths
+        with pytest.raises(self.Searched):
+            main(["analyze", "00,11"])
 
 
 class TestClassify:

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import starshift.dictionary as dictionary
+from starshift.budget import OverBudget, admit_dictionaries
 from starshift import (
     Dictionary,
     Gf2Poly,
     NotProgressive,
     WindowMap,
     WindowTooLarge,
+    WindowTooSmall,
     Word,
     WordTooShort,
     apply_window_map,
@@ -274,7 +276,7 @@ class TestEnumeration:
     def test_window_limit_and_bad_filter(self):
         with pytest.raises(WindowTooLarge):
             list(enumerate_dictionaries(6, "progressive"))
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(WindowTooSmall):
             list(enumerate_dictionaries(1, "progressive"))
         with pytest.raises(ValueError):
             list(enumerate_dictionaries(3, "everything"))
@@ -328,8 +330,17 @@ class TestListingBudget:
             "over the budget of 2^25 symbols" % (n, count, n - 1, n)
         )
         for n in (1, 0, -3):
-            with pytest.raises(WindowTooLarge, match="^window %d under 2$" % n):
+            with pytest.raises(WindowTooSmall, match="^window %d under 2$" % n):
                 next(enumerate_dictionaries(n, filter))
+
+    def test_a_small_window_is_not_a_budget_refusal(self):
+        """A caller that reads OverBudget as "too large to compute" does not catch a window under 2."""
+        assert not issubclass(WindowTooSmall, OverBudget)
+        with pytest.raises(WindowTooSmall, match="^window 1 under 2$"):
+            try:
+                admit_dictionaries(1)
+            except OverBudget:
+                pytest.fail("a window under 2 was caught as a budget refusal")
 
 
 class TestKernelElements:

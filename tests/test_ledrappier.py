@@ -1,5 +1,7 @@
 """Tests for triangular patches over the parity-of-neighbors dictionary."""
 
+import random
+
 import pytest
 
 import starshift.ledrappier as ledrappier
@@ -20,6 +22,7 @@ from starshift import (
     stack_orbit,
 )
 from starshift.budget import KERNEL_BUDGET, admit_rows, row_symbols
+from starshift.ledrappier import triangle_rows
 
 
 def all_words(length):
@@ -72,6 +75,33 @@ class TestCompletePatch:
     def test_rejects_empty_base(self):
         with pytest.raises(WordTooShort):
             complete_patch(Word.from_str(""))
+
+
+def word_rows(base):
+    """The triangle's rows as the `_pair_sums` chain of `Word`s."""
+    rows = [base]
+    while rows[-1].length > 1:
+        rows.append(ledrappier._pair_sums(rows[-1]))
+    return rows
+
+
+class TestIntegerRows:
+    """`triangle_rows` against the `Word` chain it replaced in `complete_patch` and the CLI."""
+
+    def assert_rows_match(self, base):
+        expected = word_rows(base)
+        assert triangle_rows(base) == [w.bits for w in expected]
+        assert complete_patch(base).rows == tuple(expected)
+
+    def test_every_base_up_to_12_bits(self):
+        for length in range(1, 13):
+            for base in all_words(length):
+                self.assert_rows_match(base)
+
+    def test_seeded_500_bit_bases(self):
+        rng = random.Random(500)
+        for _ in range(20):
+            self.assert_rows_match(Word(500, rng.getrandbits(500)))
 
 
 class TestSubBlocks:

@@ -227,6 +227,19 @@ class TestWindowStar:
             m = WindowMap.from_poly(Gf2Poly.parse(text))
             assert not star_commute_windows(m, m).star
 
+    def test_shift_search_is_the_constant_term_on_every_linear_progressive_map(self):
+        """The diagram search against the shift, the oracle of `analyze`'s gcd
+        route, on all 1,022 linear progressive maps of windows 2-10: a map
+        *-commutes with t exactly when its polynomial's constant term is 1."""
+        sigma = WindowMap.shift()
+        disagree = []
+        for bits in range(2, 1 << 10):
+            poly = Gf2Poly(bits)
+            star = star_commute_windows(sigma, WindowMap.from_poly(poly)).star
+            if star != bool(bits & 1) or star != independence_profile(Gf2Poly.t(), poly).star_commute:
+                disagree.append(str(poly))
+        assert disagree == []
+
 
 class TestKernelStar:
     def test_examples(self):

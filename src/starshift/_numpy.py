@@ -1,9 +1,10 @@
 """numpy, bound at import but loaded at its first attribute access.
 
-classify, kernel --poly, certify and ledrappier build no arrays, so they never
-pay for importing numpy.  `np` goes through `importlib.util.LazyLoader`: an
-already imported numpy is used unchanged, and a missing one raises
-`ModuleNotFoundError` here, as `import numpy` would.  On Python 3.11 the first
+classify, kernel, certify, ledrappier and analyze on a linear or non-progressive
+dictionary build no arrays, so they never pay for importing numpy.  `np` goes
+through `importlib.util.LazyLoader`: an already imported numpy is used
+unchanged, and a missing one raises `ModuleNotFoundError` here, as
+`import numpy` would.  On Python 3.11 the first
 attribute access of a lazy module is not thread-safe; the CLI is single-threaded.
 """
 

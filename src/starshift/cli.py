@@ -18,7 +18,7 @@ from .dictionary import (
     kernel_texts,
 )
 from .gf2poly import Gf2Poly, recurrence_kernel_texts
-from .ledrappier import LEDRAPPIER, conjugate_vertical, stack_orbit, triangle_rows
+from .ledrappier import conjugate_vertical, stack_rows, triangle_rows
 from .matrixmodel import verify_relations
 from .starcomm import (
     DynamicalSystem,
@@ -303,10 +303,8 @@ def _render_relations(payload: dict) -> None:
 
 def _ledrappier_payload(base_text: str, steps: int | None) -> dict:
     base = Word.from_str(base_text)
-    if steps is None:
-        rows = [format(bits, "0%db" % (base.length - i)) for i, bits in enumerate(triangle_rows(base))]
-    else:
-        rows = [str(r) for r in stack_orbit(LEDRAPPIER, base, steps)]
+    bits = triangle_rows(base) if steps is None else stack_rows(base, steps)
+    rows = [format(row, "0%db" % (base.length - i)) for i, row in enumerate(bits)]
     agree = len(rows) < 2 or rows[1] == str(conjugate_vertical(base).prefix(len(rows[1])))
     payload = {
         "kind": "ledrappier",

@@ -299,7 +299,7 @@ def _preimage_walk(m: WindowMap, out_level: int) -> np.ndarray:
     table that fits.
     """
     mask = (1 << (m.window - 1)) - 1
-    flip = _zero_completions(m).astype(np.int32)
+    flip = np.frombuffer(_zero_completions(m), np.uint8)
     targets = np.arange(1 << out_level, dtype=np.int32)[:, None]
     y = np.tile(np.arange(mask + 1, dtype=np.int32), (targets.size, 1))
     for j in range(out_level - 1, -1, -1):
@@ -332,7 +332,7 @@ def _preimage_table(m: WindowMap, out_level: int) -> np.ndarray:
         return _preimage_walk(m, out_level)
     d = m.window - 1
     mask = (1 << d) - 1
-    flip = _zero_completions(m).tolist()
+    flip = _zero_completions(m)
     impulse = _steer(flip, mask, 0, [1] + [0] * (out_level - 1))
     y0 = np.zeros(1 << out_level, dtype=np.int64)
     for j in range(out_level):

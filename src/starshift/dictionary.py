@@ -125,15 +125,22 @@ def _linear_poly(window: int, rule: int) -> Gf2Poly | None:
 
 
 def _rule_bits(m: "WindowMap") -> np.ndarray:
-    """The rule of m as an array of 2^window bits, entry v the value at v."""
+    """The rule of m as an array of 2^window bits, entry v the value at v, for the array routes."""
     size = 1 << m.window
     raw = np.frombuffer(m.rule.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=size, bitorder="little")
 
 
-def _zero_completions(m: "WindowMap") -> np.ndarray:
-    """Entry s is the last bit steering a progressive m to 0 after prefix s: 1 - rule(2s + 1)."""
-    return 1 - _rule_bits(m)[1::2]
+_FLIPPED = bytes.maketrans(b"01", b"\1\0")
+
+
+def _zero_completions(m: "WindowMap") -> bytes:
+    """Byte s is the last bit steering a progressive m to 0 after prefix s: 1 - rule(2s + 1).
+
+    Bit v is character 2^n - 1 - v of the rule's binary text, so the odd
+    bits are every other character back from the next to last, flipped.
+    """
+    return format(m.rule, "0%db" % (1 << m.window)).encode()[-2::-2].translate(_FLIPPED)
 
 
 class WindowMap:
@@ -378,14 +385,15 @@ def kernel_texts(d: Dictionary) -> list:
 
     Each kernel element is determined by its first n-1 symbols, and the
     rule's completion to 0 gives the next symbol, so the kernel is one
-    walk over the 2^(n-1) states of that completion.
+    walk over the 2^(n-1) states of that completion.  The completions are
+    read off the rule integer as bytes, so no array is built.
     """
     width = d.window - 1
     admit_kernel(width)
     m = d.to_window_map()
     if not m.is_progressive:
         raise NotProgressive(str(d))
-    return _kernel_walk(width, _zero_completions(m).tolist())
+    return _kernel_walk(width, _zero_completions(m))
 
 
 def kernel_elements(d: Dictionary) -> list:

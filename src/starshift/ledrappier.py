@@ -66,11 +66,7 @@ def triangle_rows(base: Word) -> list:
     """The bits of the full triangle's rows over a base row, widest first; row i has base.length - i bits."""
     if base.length < 1:
         raise WordTooShort("base row must be nonempty")
-    admit_rows(base.length, base.length - 1)
-    rows = [base.bits]
-    for width in range(base.length - 1, 0, -1):
-        rows.append((rows[-1] ^ rows[-1] >> 1) & ((1 << width) - 1))
-    return rows
+    return stack_rows(base, base.length - 1)
 
 
 def complete_patch(base: Word) -> TrianglePatch:
@@ -89,8 +85,8 @@ def conjugate_vertical(base: Word) -> Word:
     return _pair_sums(base)
 
 
-def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
-    """Rows 0..steps of the orbit of a base row under a progressive map."""
+def _admit_stack(d: Dictionary, base: Word, steps: int) -> None:
+    """Refuse rows 0..steps of the orbit of `base` under d before any row is built."""
     if not d.to_window_map().is_progressive:
         raise NotProgressive(str(d))
     if steps < 0:
@@ -98,6 +94,20 @@ def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
     if base.length < steps * (d.window - 1) + 1:
         raise WordTooShort("base too short for %d steps" % steps)
     admit_rows(base.length, steps, d.window)
+
+
+def stack_rows(base: Word, steps: int) -> list:
+    """The bits of `stack_orbit(LEDRAPPIER, base, steps)`: the triangle's first steps + 1 rows."""
+    _admit_stack(LEDRAPPIER, base, steps)
+    rows = [base.bits]
+    for width in range(base.length - 1, base.length - 1 - steps, -1):
+        rows.append((rows[-1] ^ rows[-1] >> 1) & ((1 << width) - 1))
+    return rows
+
+
+def stack_orbit(d: Dictionary, base: Word, steps: int) -> tuple:
+    """Rows 0..steps of the orbit of a base row under a progressive map."""
+    _admit_stack(d, base, steps)
     rows = [base]
     for _ in range(steps):
         rows.append(apply_window_map(d, rows[-1]))

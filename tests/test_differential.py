@@ -6,11 +6,14 @@ systems the other tests use and on deliberately broken inputs: tampered
 image tables, a tampered composition operator and broken frames, so that
 every relation fails somewhere and its witness order and value are
 compared.  The same-fiber pairs the suite reads from its fiber listing
-are compared with a general equi-join of the image tables.
+are compared with a general equi-join of the image tables.  The rule
+completions read off the rule integer as bytes are compared with the
+array route they replaced, and so are the fiber tables built from them.
 """
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,7 @@ from dense_oracle import (
 )
 from starshift import (
     CylinderFunction,
+    Dictionary,
     DynamicalSystem,
     Gf2Poly,
     LevelOperator,
@@ -270,6 +274,48 @@ def test_coset_fibers_are_the_rule_walk():
             got = cylinder._preimage_table(m, out)
             assert got.dtype == np.int64
             assert np.array_equal(got, cylinder._preimage_walk(m, out)), (m, out)
+
+
+def oracle_completions(m):
+    """The array route `_zero_completions` replaced: the odd entries of the unpacked rule, flipped."""
+    return 1 - dictionary._rule_bits(m)[1::2]
+
+
+def seeded_nonlinear_progressive(count, seed=23):
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        n = rng.randrange(5, 13)
+        m = Dictionary(n, dictionary.progressive_mask(n, rng.getrandbits(1 << (n - 1)))).to_window_map()
+        if m.linear_poly is None:
+            maps.append(m)
+    return maps
+
+
+COMPLETION_MAPS = (
+    PROGRESSIVE
+    + [WindowMap.from_poly(Gf2Poly((1 << (n - 1)) | low)) for n in range(5, 11) for low in range(1 << (n - 1))]
+    + seeded_nonlinear_progressive(300)
+)
+
+
+def test_completions_are_the_array_route():
+    """The bytes read off the rule integer equal the unpacked rule's flipped odd entries."""
+    assert len(COMPLETION_MAPS) == 276 + 1008 + 300
+    for m in COMPLETION_MAPS:
+        got = dictionary._zero_completions(m)
+        assert type(got) is bytes and len(got) == m.fiber_count
+        assert np.array_equal(np.frombuffer(got, np.uint8), oracle_completions(m)), m
+
+
+@pytest.mark.parametrize("route", ["_preimage_walk", "_preimage_table"])
+def test_preimage_routes_on_the_bytes_match_the_array_route(monkeypatch, route):
+    """Both preimage routes give the same tables from the bytes as from the array route's completions."""
+    maps = [m for m in COMPLETION_MAPS if route == "_preimage_walk" or m.linear_poly is not None]
+    got = {(m, out): getattr(cylinder, route)(m, out) for m in maps for out in range(7)}
+    monkeypatch.setattr(cylinder, "_zero_completions", lambda m: oracle_completions(m).tobytes())
+    for (m, out), table in got.items():
+        assert np.array_equal(table, getattr(cylinder, route)(m, out)), (m, out)
 
 
 def scaled_member(frame):

@@ -22,7 +22,8 @@ from starshift import (
     stack_orbit,
 )
 from starshift.budget import KERNEL_BUDGET, admit_rows, row_symbols
-from starshift.ledrappier import triangle_rows
+from starshift.cli import _ledrappier_payload
+from starshift.ledrappier import stack_rows, triangle_rows
 
 
 def all_words(length):
@@ -102,6 +103,43 @@ class TestIntegerRows:
         rng = random.Random(500)
         for _ in range(20):
             self.assert_rows_match(Word(500, rng.getrandbits(500)))
+
+
+class TestStackRows:
+    """`stack_rows`, the CLI's `--steps` route, against `stack_orbit` over `LEDRAPPIER`."""
+
+    def assert_rows_match(self, base, steps):
+        expected = stack_orbit(LEDRAPPIER, base, steps)
+        assert stack_rows(base, steps) == [w.bits for w in expected]
+        payload = _ledrappier_payload(str(base), steps)
+        assert payload["rows"] == [str(w) for w in expected]
+
+    def test_every_base_up_to_12_bits_at_every_step_count(self):
+        for length in range(1, 13):
+            for base in all_words(length):
+                for steps in range(length):
+                    self.assert_rows_match(base, steps)
+
+    def test_seeded_500_bit_bases(self):
+        rng = random.Random(499)
+        for _ in range(5):
+            base = Word(500, rng.getrandbits(500))
+            for steps in (0, 1, 250, 499):
+                self.assert_rows_match(base, steps)
+
+    def test_refusals_keep_their_order(self):
+        with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+            stack_rows(Word(0, 0), -1)
+        with pytest.raises(WordTooShort, match="^base too short for 4 steps$"):
+            stack_rows(Word(4, 0), 4)
+        with pytest.raises(WordTooShort, match="^base too short for 20000 steps$"):
+            stack_rows(Word(20000, 0), 20000)
+        with pytest.raises(PatchTooLarge, match="^a base of 20000 symbols lists 2001 rows, "):
+            stack_rows(Word(20000, 0), 2000)
+
+    def test_a_short_stack_over_a_wide_base_is_admitted(self):
+        """The full triangle over 8,192 bits is refused, its first two rows are not."""
+        self.assert_rows_match(Word(8192, random.Random(8192).getrandbits(8192)), 1)
 
 
 class TestSubBlocks:

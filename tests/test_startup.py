@@ -47,8 +47,11 @@ def test_import_alone_leaves_numpy_unloaded():
         ["kernel", "--poly", "1+t^4+t^9", "--json"],
         ["certify", "t", "1+t+t^2", "--json"],
         ["ledrappier", "1101", "--json"],
+        ["kernel", "--dict", "01,10", "--json"],
+        ["kernel", "--dict", "00,11", "--json"],
+        ["analyze", "01,10", "--json"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["classify", "kernel", "certify", "ledrappier", "kernel-dict-01,10", "kernel-dict-00,11", "analyze-01,10"],
 )
 def test_integer_commands_never_load_numpy(argv):
     assert core_loaded_after(argv) == [0, False]
@@ -58,8 +61,7 @@ def test_integer_commands_never_load_numpy(argv):
     "argv",
     [
         ["verify", "t", "1+t", "--level", "7", "--json"],
-        ["kernel", "--dict", "01,10", "--json"],
-        ["analyze", "01,10", "--json"],
+        ["analyze", "00,11", "--json"],
     ],
     ids=lambda argv: "-".join(argv[:2]),
 )

@@ -1,7 +1,7 @@
 """numpy, bound at import but loaded at its first attribute access.
 
-classify, kernel, certify, ledrappier and analyze on a linear or non-progressive
-dictionary build no arrays, so they never pay for importing numpy.  `np` goes
+Every command but verify builds no arrays, so only verify pays for importing
+numpy; the library's array routes load it at their first array.  `np` goes
 through `importlib.util.LazyLoader`: an already imported numpy is used
 unchanged, and a missing one raises `ModuleNotFoundError` here, as
 `import numpy` would.  On Python 3.11 the first

@@ -10,22 +10,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .budget import admit_dictionaries
-from .dictionary import (
-    Dictionary,
-    WindowMap,
-    _linear_table,
-    classify_dictionary,
-    kernel_texts,
-)
+from .dictionary import Dictionary, _linear_table, classify_dictionary, kernel_texts
 from .gf2poly import Gf2Poly, recurrence_kernel_texts
 from .ledrappier import conjugate_vertical, stack_rows, triangle_rows
 from .matrixmodel import verify_relations
-from .starcomm import (
-    DynamicalSystem,
-    certify_system,
-    independence_profile,
-    star_commute_windows,
-)
+from .starcomm import DynamicalSystem, certify_system, independence_profile
 from .words import Word
 
 
@@ -109,15 +98,14 @@ def _analysis_payload(d: Dictionary) -> dict:
     payload["kernel"] = kernel_texts(d)
     keys = ("strongly_independent", "independent", "star_commute", "diagram_search", "shared_kernel_witness")
     indep = dict.fromkeys(keys)
+    # Left permutivity of the rule, which for a linear rule a (degree n-1 >= 1) is gcd(t, a) = 1.
+    indep["diagram_search"] = d.to_window_map().star_commutes_with_shift
     poly = record.polynomial
-    # A linear rule (degree n-1 >= 1) is decided by its gcd with t, a nonlinear one by the diagram search.
-    if poly is None:
-        indep["diagram_search"] = star_commute_windows(WindowMap.shift(), d.to_window_map()).star
-    else:
+    if poly is not None:
         profile = independence_profile(Gf2Poly.t(), poly)
         indep["strongly_independent"] = profile.strongly_independent
         indep["independent"] = profile.independent
-        indep["star_commute"] = indep["diagram_search"] = profile.star_commute
+        indep["star_commute"] = profile.star_commute
         if profile.shared_kernel_witness is not None:
             indep["shared_kernel_witness"] = str(profile.shared_kernel_witness)
         system = DynamicalSystem.from_polys([Gf2Poly.t(), poly], ["sigma", "theta"])
@@ -393,9 +381,10 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's own flush at exit cannot fail again.
+        # Point stdout at devnull so the interpreter's own flush at exit cannot fail again,
+        # and exit 128 + SIGPIPE, as a shell reports a writer stopped by a closed pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return 141
     return code
 
 

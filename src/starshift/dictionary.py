@@ -212,17 +212,29 @@ class WindowMap:
     def rule_bit(self, value: int) -> int:
         return (self.rule >> value) & 1
 
+    def _permutive(self, stride: int) -> bool:
+        """Whether table bits v and v + stride differ wherever bit `stride` of v is 0 (admits the window)."""
+        admit_window(self.window)
+        mask = ((1 << (1 << self.window)) - 1) // ((1 << 2 * stride) - 1) * ((1 << stride) - 1)
+        return ((self.rule ^ (self.rule >> stride)) & mask) == mask
+
     @property
     def is_progressive(self) -> bool:
         """Every (n-1)-prefix has exactly one completion with rule value 1.
 
         The completions of prefix a are the table bits 2a and 2a+1, so the
-        rule is progressive when the table differs from its shift by one
-        at every even bit.  The window is admitted before either mask.
+        rule is progressive when it is permutive in its last symbol.
         """
-        admit_window(self.window)
-        evens = ((1 << (1 << self.window)) - 1) // 3
-        return ((self.rule ^ (self.rule >> 1)) & evens) == evens
+        return self._permutive(1)
+
+    @property
+    def star_commutes_with_shift(self) -> bool:
+        """Whether the shift and this map *-commute: the rule is permutive in its first symbol.
+
+        shift(x1) = map(x2) is completed by the a·x2 with rule(a·w) = x1's first symbol, w the
+        first n-1 symbols of x2 (Hedlund's left permutivity; gcd(t, a) = 1 for a linear rule a).
+        """
+        return self._permutive(1 << (self.window - 1))
 
     @property
     def fiber_count(self) -> int:

@@ -25,10 +25,14 @@ BASIC_BLOCKS = (
 )
 
 
+def _sums(bits: int, width: int) -> int:
+    """The low `width` cells of the row above `bits`: each cell is the sum of the two cells below it."""
+    return (bits ^ bits >> 1) & ((1 << width) - 1)
+
+
 def _pair_sums(w: Word) -> Word:
-    """The row above w: each cell is the sum of the two cells below it."""
-    width = w.length - 1
-    return Word(width, (w.bits ^ (w.bits >> 1)) & ((1 << width) - 1))
+    """The row above w."""
+    return Word(w.length - 1, _sums(w.bits, w.length - 1))
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,7 @@ class TrianglePatch:
         if not self.rows:
             raise ValueError("a patch needs at least one row")
         for above, below in zip(self.rows[1:], self.rows):
-            sums = (below.bits ^ (below.bits >> 1)) & ((1 << above.length) - 1)
-            if above.length != below.length - 1 or above.bits != sums:
+            if above.length != below.length - 1 or above.bits != _sums(below.bits, above.length):
                 raise ValueError("rows do not satisfy the triangle rule")
 
     @property
@@ -101,7 +104,7 @@ def stack_rows(base: Word, steps: int) -> list:
     _admit_stack(LEDRAPPIER, base, steps)
     rows = [base.bits]
     for width in range(base.length - 1, base.length - 1 - steps, -1):
-        rows.append((rows[-1] ^ rows[-1] >> 1) & ((1 << width) - 1))
+        rows.append(_sums(rows[-1], width))
     return rows
 
 

@@ -7,9 +7,9 @@ equivalent fiber conditions are test oracles.  For the linear
 sliding-window maps given by polynomials a, b over GF(2), *-commutation,
 strong independence (trivial kernel intersection) and independence
 (ker a + ker b = ker ab) all collapse to gcd(a, b) = 1, read off for the
-independence profile and for `analyze` on a linear rule; nonlinear rules
-have only `star_commute_windows`.  The kernel-level definitions remain
-available as `star_commutes_on_kernel` and `recurrence_kernel`.
+independence profile; against the shift any rule is decided by its rule
+test `WindowMap.star_commutes_with_shift` (oracle: `star_commute_windows`).
+The kernel-level definitions remain as `star_commutes_on_kernel` and `recurrence_kernel`.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def star_commute_windows(m1: WindowMap, m2: WindowMap) -> StarDecision:
 
     Checks injectivity of m2 on word-level m1-fibers over all words of
     length n1 + n2 + STAR_DEPTH: exact for linear maps (a Bezout argument
-    bounds the length by deg1 + deg2 + 6), where it is the tests' oracle
-    of the gcd route, and a fixed-depth semi-decision for nonlinear rules,
-    the only ones `analyze` builds its 2^(n1+n2+4)-entry image tables for.
+    bounds the length by deg1 + deg2 + 6) and for the shift against any rule,
+    the tests' oracle of the gcd route and of `WindowMap.star_commutes_with_shift`;
+    a fixed-depth semi-decision for other nonlinear pairs.  No command runs it.
     """
     length = m1.window + m2.window + STAR_DEPTH
     admit_level(length, length)

@@ -4,6 +4,7 @@ import functools
 import importlib.resources as resources
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 import starshift
 import starshift.cli as cli
 import starshift.dictionary as dictionary
+import starshift.starcomm as starcomm
 from starshift import (
     CylinderFunction,
     Dictionary,
@@ -28,7 +30,7 @@ from starshift import (
     star_commutes_on_kernel,
 )
 from starshift.cli import _classification_payload, _dumps, build_parser, main
-from starshift.starcomm import STAR_DEPTH, DynamicalSystem
+from starshift.starcomm import DynamicalSystem
 
 SCHEMA = json.loads(
     resources.files("starshift").joinpath("schemas/cli.schema.json").read_text("utf-8")
@@ -127,38 +129,55 @@ class TestAnalyze:
 
 
 def search_route_payload(d):
-    """`analyze`'s report with `diagram_search` from the word-level search on
-    every progressive dictionary, the route it took before linear ones were
-    read off the gcd."""
+    """`analyze`'s report with `diagram_search` from the word-level search
+    against the shift, the route it took for a nonlinear dictionary before
+    the rule test, and the gcd flags and certificate of a linear one."""
     record = classify_dictionary(d)
-    profile = independence_profile(Gf2Poly.t(), record.polynomial)
-    witness = profile.shared_kernel_witness
-    indep = {
-        "strongly_independent": profile.strongly_independent,
-        "independent": profile.independent,
-        "star_commute": profile.star_commute,
-        "diagram_search": star_commute_windows(WindowMap.shift(), d.to_window_map()).star,
-        "shared_kernel_witness": None if witness is None else str(witness),
-    }
-    system = DynamicalSystem.from_polys([Gf2Poly.t(), record.polynomial], ["sigma", "theta"])
+    keys = ("strongly_independent", "independent", "star_commute", "shared_kernel_witness")
+    indep = dict.fromkeys(keys)
+    indep["diagram_search"] = star_commute_windows(WindowMap.shift(), d.to_window_map()).star
+    certificate = None
+    if record.polynomial is not None:
+        profile = independence_profile(Gf2Poly.t(), record.polynomial)
+        witness = profile.shared_kernel_witness
+        indep["strongly_independent"] = profile.strongly_independent
+        indep["independent"] = profile.independent
+        indep["star_commute"] = profile.star_commute
+        indep["shared_kernel_witness"] = None if witness is None else str(witness)
+        system = DynamicalSystem.from_polys([Gf2Poly.t(), record.polynomial], ["sigma", "theta"])
+        certificate = certify_system(system).to_json_dict()
     return {
         "kind": "analysis",
         "record": record.to_json_dict(),
         "kernel": dictionary.kernel_texts(d),
         "independence_vs_shift": indep,
-        "certificate": certify_system(system).to_json_dict(),
+        "certificate": certificate,
     }
 
 
+def nonlinear_progressive(count, windows, seed):
+    """`count` seeded nonlinear progressive dictionaries with windows drawn from `windows`."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(windows)
+        d = Dictionary(n, dictionary.progressive_mask(n, rng.getrandbits(1 << (n - 1))))
+        if not classify_dictionary(d).linear:
+            out.append(d)
+    return out
+
+
 class TestAnalyzeRoutes:
-    """A linear dictionary's diagram search is its gcd with t; only a nonlinear one is searched."""
+    """`analyze` reads `diagram_search` off the rule test, linear or not; no dictionary is searched."""
 
     class Searched(Exception):
         pass
 
-    def test_linear_dictionaries_never_reach_the_search(self, monkeypatch, capsys):
-        """Windows 2-9: with the search made to raise, every report is byte-identical
-        to the search route's, and no table of the search's word length is built."""
+    def test_analyze_never_reaches_the_search(self, monkeypatch, capsys):
+        """With the search made to raise, every report is byte-identical to the
+        search route's on every progressive dictionary of windows 2-4, every
+        linear one of windows 5-9 and 100 seeded nonlinear progressive ones of
+        windows 5-9, and no image table is built."""
         lengths = []
         image_table = dictionary._image_table
 
@@ -166,21 +185,22 @@ class TestAnalyzeRoutes:
             lengths.append(length)
             return image_table(m, length)
 
-        expected = {}
-        for n in range(2, 10):
-            for d in enumerate_dictionaries(n, "admissible"):
-                expected[str(d)] = (n, _dumps(search_route_payload(d)) + "\n")
+        dicts = [d for n in range(2, 5) for d in enumerate_dictionaries(n, "progressive")]
+        dicts += [d for n in range(5, 10) for d in enumerate_dictionaries(n, "admissible")]
+        dicts += nonlinear_progressive(100, range(5, 10), 24)
+        expected = {str(d): _dumps(search_route_payload(d)) + "\n" for d in dicts}
+        assert len(expected) == 276 + 496 + 100
 
         def searched(*args):
             raise self.Searched()
 
-        monkeypatch.setattr(cli, "star_commute_windows", searched)
+        monkeypatch.setattr(starcomm, "star_commute_windows", searched)
+        monkeypatch.setattr(cli, "star_commute_windows", searched, raising=False)
         monkeypatch.setattr(dictionary, "_image_table", recording)
-        for members, (n, text) in expected.items():
+        for members, text in expected.items():
             assert run(capsys, ["analyze", members, "--json"]) == (0, text, "")
-            assert 2 + n + STAR_DEPTH not in lengths
-        with pytest.raises(self.Searched):
-            main(["analyze", "00,11"])
+        assert lengths == []
+        assert run(capsys, ["analyze", "00,11"])[0] == 0
 
 
 class TestClassify:
@@ -593,7 +613,9 @@ class TestTypedErrors:
 
 
 class TestClosedPipe:
-    def test_closed_stdout_exits_1_without_a_traceback(self):
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        """141 is 128 + SIGPIPE, what a shell reports for a writer stopped by a
+        closed pipe, so a truncated report is not read as a failed relation."""
         src = os.path.dirname(os.path.dirname(starshift.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         # 512 lines of up to 520 symbols: far more than a pipe buffer holds.
@@ -607,7 +629,7 @@ class TestClosedPipe:
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
+        assert proc.wait(timeout=60) == 141
         assert first == b"polynomial 1+t^4+t^9: 512 kernel elements\n"
         assert err == b""
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import starshift.dictionary as dictionary
 from starshift import (
     DynamicalSystem,
     FiniteMapPair,
@@ -28,6 +29,7 @@ from starshift import (
     star_commute_windows,
     star_commutes_on_kernel,
 )
+from starshift.dictionary import progressive_mask
 
 
 def star_oracle(size, f, g):
@@ -239,6 +241,74 @@ class TestWindowStar:
             if star != bool(bits & 1) or star != independence_profile(Gf2Poly.t(), poly).star_commute:
                 disagree.append(str(poly))
         assert disagree == []
+
+
+def bipermutive_rule(n, f):
+    """The table of rule(a·w·b) = a + f(w) + b, with f the 2^(n-2)-bit table of a map on n-2 bits."""
+    rule = 0
+    for v in range(1 << n):
+        a, w, b = v >> (n - 1), (v >> 1) & ((1 << (n - 2)) - 1), v & 1
+        rule |= ((a ^ (f >> w) ^ b) & 1) << v
+    return rule
+
+
+def shift_oracle_maps():
+    """(label, map) pairs: every progressive map of windows 2-4, every linear
+    progressive map of windows 5-10, 300 seeded nonlinear progressive maps of
+    windows 5-13 and 300 seeded nonlinear bipermutive maps of windows 3-12.
+    Random progressive maps are almost never left-permutive, so the
+    bipermutive ones carry the True side."""
+    maps = [("small", d.to_window_map()) for n in range(2, 5) for d in enumerate_dictionaries(n, "progressive")]
+    maps += [("linear", WindowMap.from_poly(Gf2Poly(bits))) for bits in range(1 << 4, 1 << 10)]
+    rng = random.Random(24)
+    nonlinear = []
+    while len(nonlinear) < 300:
+        n = rng.randint(5, 13)
+        m = WindowMap(n, progressive_mask(n, rng.getrandbits(1 << (n - 1))))
+        if dictionary._linear_poly(n, m.rule) is None:
+            nonlinear.append(("nonlinear", m))
+    bipermutive = []
+    while len(bipermutive) < 300:
+        n = rng.randint(3, 12)
+        m = WindowMap(n, bipermutive_rule(n, rng.getrandbits(1 << (n - 2))))
+        if dictionary._linear_poly(n, m.rule) is None:
+            bipermutive.append(("bipermutive", m))
+    return maps + nonlinear + bipermutive
+
+
+class TestShiftRuleTest:
+    """`WindowMap.star_commutes_with_shift`, the rule test `analyze` reads,
+    against the word-level search it replaced there."""
+
+    def test_equals_the_search(self):
+        sigma = WindowMap.shift()
+        counts = {}
+        disagree = []
+        try:
+            for label, m in shift_oracle_maps():
+                star = m.star_commutes_with_shift
+                if star != star_commute_windows(sigma, m).star:
+                    disagree.append(repr(m))
+                if label == "linear" and star != bool(m.linear_poly.bits & 1):
+                    disagree.append(repr(m))
+                counts[label, star] = counts.get((label, star), 0) + 1
+        finally:
+            dictionary._image_table.cache_clear()
+        assert disagree == []
+        assert counts[("small", True)] == 22 and counts[("small", False)] == 254
+        assert counts[("linear", True)] == counts[("linear", False)] == 504
+        assert counts[("bipermutive", True)] == 300
+
+    def test_progressive_is_the_stride_one_test(self):
+        """`is_progressive` shares the permutivity helper; it keeps the even-bit
+        mask expression it had, on the same maps and every rule of windows 1-3."""
+        oracle_maps = [m for _, m in shift_oracle_maps()]
+        every_rule = [WindowMap(n, rule) for n in (1, 2, 3) for rule in range(1 << (1 << n))]
+        for m in oracle_maps + every_rule:
+            evens = ((1 << (1 << m.window)) - 1) // 3
+            assert m.is_progressive == (((m.rule ^ (m.rule >> 1)) & evens) == evens)
+        assert all(m.is_progressive for m in oracle_maps)
+        assert sum(m.is_progressive for m in every_rule) == 2 + 4 + 16
 
 
 class TestKernelStar:

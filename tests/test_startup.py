@@ -13,9 +13,13 @@ import sys
 import pytest
 
 import starshift
+from starshift.dictionary import Dictionary, progressive_mask
 
 SRC = os.path.dirname(os.path.dirname(starshift.__file__))
 CORE = "numpy._core.multiarray"
+# The nonlinear progressive dictionary of window 9 with rule x0 x1 + x8: the
+# completion of an 8-symbol prefix is 1 unless it starts with 11.
+NONLINEAR_9 = str(Dictionary(9, progressive_mask(9, sum(1 << a for a in range(256) if a >> 6 != 3))))
 
 
 def run_fresh(code):
@@ -50,8 +54,20 @@ def test_import_alone_leaves_numpy_unloaded():
         ["kernel", "--dict", "01,10", "--json"],
         ["kernel", "--dict", "00,11", "--json"],
         ["analyze", "01,10", "--json"],
+        ["analyze", "00,11", "--json"],
+        ["analyze", NONLINEAR_9, "--json"],
     ],
-    ids=["classify", "kernel", "certify", "ledrappier", "kernel-dict-01,10", "kernel-dict-00,11", "analyze-01,10"],
+    ids=[
+        "classify",
+        "kernel",
+        "certify",
+        "ledrappier",
+        "kernel-dict-01,10",
+        "kernel-dict-00,11",
+        "analyze-01,10",
+        "analyze-00,11",
+        "analyze-nonlinear-9",
+    ],
 )
 def test_integer_commands_never_load_numpy(argv):
     assert core_loaded_after(argv) == [0, False]
@@ -61,7 +77,6 @@ def test_integer_commands_never_load_numpy(argv):
     "argv",
     [
         ["verify", "t", "1+t", "--level", "7", "--json"],
-        ["analyze", "00,11", "--json"],
     ],
     ids=lambda argv: "-".join(argv[:2]),
 )

@@ -9,12 +9,12 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+# Only the commands that call these three should run them: they are bound as the
+# package's lazy modules, since importing a name from one would run it at once.
+from . import ledrappier, matrixmodel, starcomm
 from .budget import admit_dictionaries
 from .dictionary import Dictionary, _linear_table, classify_dictionary, kernel_texts
 from .gf2poly import Gf2Poly, recurrence_kernel_texts
-from .ledrappier import conjugate_vertical, stack_rows, triangle_rows
-from .matrixmodel import verify_relations
-from .starcomm import DynamicalSystem, certify_system, independence_profile
 from .words import Word
 
 
@@ -102,14 +102,14 @@ def _analysis_payload(d: Dictionary) -> dict:
     indep["diagram_search"] = d.to_window_map().star_commutes_with_shift
     poly = record.polynomial
     if poly is not None:
-        profile = independence_profile(Gf2Poly.t(), poly)
+        profile = starcomm.independence_profile(Gf2Poly.t(), poly)
         indep["strongly_independent"] = profile.strongly_independent
         indep["independent"] = profile.independent
         indep["star_commute"] = profile.star_commute
         if profile.shared_kernel_witness is not None:
             indep["shared_kernel_witness"] = str(profile.shared_kernel_witness)
-        system = DynamicalSystem.from_polys([Gf2Poly.t(), poly], ["sigma", "theta"])
-        payload["certificate"] = certify_system(system).to_json_dict()
+        system = starcomm.DynamicalSystem.from_polys([Gf2Poly.t(), poly], ["sigma", "theta"])
+        payload["certificate"] = starcomm.certify_system(system).to_json_dict()
     payload["independence_vs_shift"] = indep
     return payload
 
@@ -237,8 +237,8 @@ def _render_kernel(payload: dict) -> None:
 
 def _certificate_payload(poly_texts) -> dict:
     polys = [Gf2Poly.parse(t) for t in poly_texts]
-    system = DynamicalSystem.from_polys(polys)
-    cert = certify_system(system)
+    system = starcomm.DynamicalSystem.from_polys(polys)
+    cert = starcomm.certify_system(system)
     return {
         "kind": "certificate",
         "generators": [str(p) for p in polys],
@@ -259,8 +259,8 @@ def _render_certificate(payload: dict) -> None:
 
 def _relations_payload(poly_texts, level: int) -> dict:
     polys = [Gf2Poly.parse(t) for t in poly_texts]
-    system = DynamicalSystem.from_polys(polys)
-    report = verify_relations(system, level)
+    system = starcomm.DynamicalSystem.from_polys(polys)
+    report = matrixmodel.verify_relations(system, level)
     payload = {"kind": "relations", "generators": [str(p) for p in polys]}
     payload.update(report.to_json_dict())
     return payload
@@ -291,9 +291,9 @@ def _render_relations(payload: dict) -> None:
 
 def _ledrappier_payload(base_text: str, steps: int | None) -> dict:
     base = Word.from_str(base_text)
-    bits = triangle_rows(base) if steps is None else stack_rows(base, steps)
+    bits = ledrappier.triangle_rows(base) if steps is None else ledrappier.stack_rows(base, steps)
     rows = [format(row, "0%db" % (base.length - i)) for i, row in enumerate(bits)]
-    agree = len(rows) < 2 or rows[1] == str(conjugate_vertical(base).prefix(len(rows[1])))
+    agree = len(rows) < 2 or rows[1] == str(ledrappier.conjugate_vertical(base).prefix(len(rows[1])))
     payload = {
         "kind": "ledrappier",
         "base": str(base),

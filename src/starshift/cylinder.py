@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
+from ._lazy import np
 from .dictionary import NotProgressive, WindowMap, _zero_completions
 from .words import Word
 

@@ -15,7 +15,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from ._numpy import np
+from ._lazy import np
 from .budget import admit_dictionaries, admit_kernel, admit_window
 from .gf2poly import Gf2Poly, _kernel_walk, _sequences
 from .words import PeriodicSeq, Word, _check_bits

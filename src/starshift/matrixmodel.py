@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
+from ._lazy import np
 from .budget import admit_frame, admit_level
 from .cylinder import (
     CylinderFunction,

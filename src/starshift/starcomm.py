@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
+from ._lazy import np
 from .budget import admit_level
 from .dictionary import WindowMap
 from .gf2poly import Gf2Poly, ZeroPolynomial, poly_factor, poly_gcd, recurrence_kernel

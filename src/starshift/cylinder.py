@@ -375,6 +375,8 @@ def _standard_members(d: int) -> tuple:
     Member w is sqrt(2^d) times the indicator of w.  Its numerators are
     row w of one (2, 2^d, 2^d) block that lives in an immutable bytes
     buffer, so neither a member's arrays nor the block can be made writeable.
+    Their Gram, two read-only (2^d, 2^d) int64 numerator arrays, and their
+    2^d shared-support flags are built once too, in `_standard_record`.
     """
     root = QuadScalar.root2_power(d)
     num = np.multiply.outer([int(root.a), int(root.b)], np.eye(1 << d, dtype=np.int64))
@@ -385,7 +387,8 @@ def _standard_members(d: int) -> tuple:
 def standard_frame(m: WindowMap) -> list:
     """The frame sqrt(fibers) * indicator(w) over words of length n-1.
 
-    A fresh list of the immutable members every map of the same degree shares.
+    A fresh list of the immutable members every map of the same degree
+    shares; `_frame_record` reads their Gram from the degree's record.
     """
     if not m.is_progressive:
         raise NotProgressive("frames exist for progressive rules")
@@ -452,6 +455,35 @@ def _frame_gram(frame, level: int, den: int):
     for the largest numerator top, so the guard below 2^53 keeps them exact.
     """
     return _stack_gram(_frame_stack(frame, level, den))
+
+
+def _stack_record(num: np.ndarray):
+    """A `_frame_stack`'s Gram and, per member, whether another member shares a support word."""
+    support = (num[0] != 0) | (num[1] != 0)
+    return _stack_gram(num), (support & (support.sum(axis=0) > 1)).any(axis=1)
+
+
+# One entry per degree `_standard_members` keeps.
+@functools.lru_cache(maxsize=11)
+def _standard_record(d: int) -> tuple:
+    """`_stack_record` of the degree-d standard members at level d over 1, built once, read-only."""
+    (ga, gb), shared = _stack_record(_frame_stack(_standard_members(d), d, 1))
+    for arr in (ga, gb, shared):
+        arr.setflags(write=False)
+    return (ga, gb), shared
+
+
+def _frame_record(frame, d: int, level: int, den: int) -> tuple:
+    """The Gram (a, b) of `frame` at `level` over `den`, and its shared-support flags.
+
+    The degree-d standard members, read at their own level and denominator,
+    give the degree's record; any other frame is stacked on every call.
+    """
+    if (level, den, len(frame)) == (d, 1, 1 << d) and all(
+        map(operator.is_, frame, _standard_members(d))
+    ):
+        return _standard_record(d)
+    return _stack_record(_frame_stack(frame, level, den))
 
 
 def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):

@@ -15,6 +15,7 @@ with the exact arithmetic of cylinder functions (`cylinder._Numerators`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +28,11 @@ from .cylinder import (
     QuadScalar,
     _fiber_gram,
     _fibers,
-    _frame_gram,
-    _frame_stack,
+    _frame_record,
     _Numerators,
     _pairs,
     _preimage_table,
     _refined_gram,
-    _stack_gram,
     alpha,
     standard_frame,
 )
@@ -195,6 +194,7 @@ class RelationReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def _inv_root(d: int) -> QuadScalar:
     """F^(-1/2) = sqrt(F) / F for F = 2^d fibers."""
     root = QuadScalar.root2_power(d)
@@ -215,16 +215,24 @@ def _count_difference(lhs: np.ndarray, rhs: np.ndarray):
 
     Each key is row << (column bits) | column of one unit entry, so the
     smallest key is the row-major first entry where the two sides differ.
+    Sorted, the two arrays agree up to their first differing index i, and
+    every key below the smaller entry there is counted alike on both sides.
     """
     lhs, rhs = np.sort(lhs), np.sort(rhs)
-    if np.array_equal(lhs, rhs):
+    n = min(lhs.size, rhs.size)
+    differ = lhs[:n] != rhs[:n]
+    i = int(differ.argmax()) if n else 0
+    if n and differ[i]:
+        key = min(lhs[i], rhs[i])
+    elif lhs.size == rhs.size:
         return None
-    keys, where = np.unique(np.concatenate([lhs, rhs]), return_inverse=True)
-    net = np.bincount(where[: lhs.size], minlength=keys.size) - np.bincount(
-        where[lhs.size :], minlength=keys.size
-    )
-    i = int(np.flatnonzero(net)[0])
-    return int(keys[i]), int(net[i])
+    else:
+        key = (lhs if lhs.size > n else rhs)[n]
+
+    def count(side):
+        return int(side.searchsorted(key, "right") - side.searchsorted(key, "left"))
+
+    return int(key), count(lhs) - count(rhs)
 
 
 def _first_entry(rows, cols, col_bits: int, num_a, num_b, den: int):
@@ -255,13 +263,17 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     cosets of its kernel); S_p* S_q counts the y with a given pair of
     images and S_q S_p* joins words with equal images; S_p S_p* is c^2 on
     the pairs of words that share an image.  The frame Grams are exact
-    float64 products (`_frame_gram`).  Frame independence compares the
-    frame Gram of the composite standard frame with the entrywise product
-    of the factor Grams, G_i(y, y') G_j(m_i y, m_i y'), which is the Gram
-    of the refined frame.  A failing relation names the first failing indicator u
-    (I, II) or frame word b (matrix units) and the row-major first entry of
-    the difference of its two sides.  IV and the matrix units decide that
-    each generator's frame is a Parseval frame: a broken one fails them.
+    float64 products (`_stack_gram`), read with the members' shared
+    supports from `_frame_record`: the standard members of each degree
+    have one record, built once, and any other frame is stacked per call.
+    Frame independence compares the frame Gram of the composite standard
+    frame with the entrywise product of the factor Grams,
+    G_i(y, y') G_j(m_i y, m_i y'), which is the Gram of the refined frame
+    (`_refined_gram`, formed for every pair).  A failing relation names
+    the first failing indicator u (I, II) or frame word b (matrix units)
+    and the row-major first entry of the difference of its two sides.  IV
+    and the matrix units decide that each generator's frame is a Parseval
+    frame: a broken one fails them.
     """
     windows = [m.window for m in sys.generators]
     if not windows:
@@ -327,8 +339,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         prefix = max(nu.level for nu in frame)
         den = math.lcm(*(nu.den for nu in frame))
         scale = fibers * den * den
-        num = _frame_stack(frame, prefix, den)
-        gram = _stack_gram(num)
+        gram, shared = _frame_record(frame, d, prefix, den)
         frames.append((prefix, den, gram))
         rows, cols, ga, gb = _fiber_gram(m, k, prefix, *gram)
         found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
@@ -341,8 +352,6 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
         per_prefix = np.bincount(
             (words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
         ).reshape(fibers, -1)
-        support = (num[0] != 0) | (num[1] != 0)
-        shared = (support & (support.sum(axis=0) > 1)).any(axis=1)
         for b in range(len(frame)):
             bad = per_prefix[b][low] != 1
             if bad.any():
@@ -398,7 +407,7 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
             std = standard_frame(comp)
             prefix = max(pi, pj + mi.window - 1, *(nu.level for nu in std))
             den = math.lcm(den_i * den_j, *(nu.den for nu in std))
-            sa, sb = _frame_gram(std, prefix, den)
+            (sa, sb), _ = _frame_record(std, comp.window - 1, prefix, den)
             rescale = (den // (den_i * den_j)) ** 2
             ra, rb = (g * rescale for g in _refined_gram(gram_i, mi, gram_j, prefix))
             if np.array_equal(sa, ra) and np.array_equal(sb, rb):

@@ -512,19 +512,18 @@ def _refined_gram(gram1, m1: WindowMap, gram2, prefix: int):
     return ra, a1
 
 
-def _fiber_gram(m: WindowMap, level: int, prefix: int, ga: np.ndarray, gb: np.ndarray):
-    """A prefix Gram read on the same-fiber pairs of level words.
+def _fiber_gram(fibers: np.ndarray, prefix: int, ga: np.ndarray, gb: np.ndarray):
+    """A prefix Gram read on the same-fiber pairs of a fiber table.
 
-    Returns the pairs (rows, cols) of level words y, y' with m(y) = m(y'),
-    2^level * fibers of them for a progressive map, and the entries of the
-    Gram (ga, gb over words of length `prefix`) at their prefixes.  With
-    the Gram of a frame this is the entry pattern of sum_nu M_nu S S* M_nu,
-    so it decides Parseval reconstruction, relation (IV) and frame
-    independence.
+    `fibers` is `_fibers(m, level)`.  Returns the pairs (rows, cols) of
+    level words y, y' with m(y) = m(y'), 2^level * fibers of them for a
+    progressive map, and the entries of the Gram (ga, gb over words of
+    length `prefix`) at their prefixes.  With the Gram of a frame this is
+    the entry pattern of sum_nu M_nu S S* M_nu, so it decides Parseval
+    reconstruction, relation (IV) and frame independence.
     """
-    fibers = _fibers(m, level)
     rows, cols = _pairs(fibers, fibers)
-    shift = level - prefix
+    shift = fibers.size.bit_length() - 1 - prefix
     return rows, cols, ga[rows >> shift, cols >> shift], gb[rows >> shift, cols >> shift]
 
 
@@ -560,7 +559,7 @@ def verify_frame(frame, m: WindowMap) -> None:
     if not m.is_progressive:
         raise NotProgressive("transfer needs a progressive rule")
     check_level = prefix + n - 1
-    rows, cols, ga, gb = _fiber_gram(m, check_level, prefix, ga, gb)
+    rows, cols, ga, gb = _fiber_gram(_fibers(m, check_level), prefix, ga, gb)
     if (ga != scale * (rows == cols)).any() or gb.any():
         raise NotAFrame("reconstruction fails on the level-%d basis" % check_level)
 

@@ -177,13 +177,9 @@ class RelationReport:
 
     @property
     def all_expected_hold(self) -> bool:
-        expected = dict(self.relations)
         # (III) is expected to hold only for coprime pairs.
-        ok = all(v for k, v in expected.items() if k != "III")
-        pairs_ok = all(
-            d["holds"] == d["coprime"] or d["holds"] for d in self.pair_details
-        )
-        return ok and pairs_ok
+        ok = all(v for k, v in self.relations.items() if k != "III")
+        return ok and all(d["holds"] or not d["coprime"] for d in self.pair_details)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,12 +198,7 @@ def _inv_root(d: int) -> QuadScalar:
 
 
 def _witness(pair_names, row: Word, col: Word, value: QuadScalar) -> dict:
-    return {
-        "pair": list(pair_names),
-        "row": str(row),
-        "col": str(col),
-        "value": str(value),
-    }
+    return {"pair": list(pair_names), "row": str(row), "col": str(col), "value": str(value)}
 
 
 def _count_difference(lhs: np.ndarray, rhs: np.ndarray):
@@ -235,196 +226,206 @@ def _count_difference(lhs: np.ndarray, rhs: np.ndarray):
     return int(key), count(lhs) - count(rhs)
 
 
-def _first_entry(rows, cols, col_bits: int, num_a, num_b, den: int):
-    """The row-major first pair with a nonzero (num_a + num_b*sqrt2) / den."""
+def _first_entry(pair_names, rows, cols, k: int, num_a, num_b, den: int):
+    """The witness at the row-major first level-k pair with (num_a + num_b*sqrt2) / den nonzero."""
     live = np.flatnonzero(num_a | num_b)
     if live.size == 0:
         return None
-    i = live[np.argmin((rows[live] << col_bits) | cols[live])]
-    return int(rows[i]), int(cols[i]), QuadScalar.over(num_a[i], num_b[i], den)
+    i = live[np.argmin((rows[live] << k) | cols[live])]
+    value = QuadScalar.over(num_a[i], num_b[i], den)
+    return _witness(pair_names, Word(k, int(rows[i])), Word(k, int(cols[i])), value)
+
+
+class _Generator:
+    """One generator of degree d at level k, its tables and its frame record, built once per call.
+
+    `top` and `low` are its image tables at k + d and k, `fibers` its fiber table
+    at k; `prefix`, `den`, `gram` and `shared` are its standard frame's `_frame_record`.
+    """
+
+    def __init__(self, level: _Level, name: str, m: WindowMap):
+        self.name, self.m, self.d = name, m, m.window - 1
+        self.top, self.low = m.image_table(level.k + self.d), m.image_table(level.k)
+        self.fibers = level.fibers(m, level.k)
+        frame = standard_frame(m)
+        self.prefix, self.den = max(nu.level for nu in frame), math.lcm(*(nu.den for nu in frame))
+        self.gram, self.shared = _frame_record(frame, self.d, self.prefix, self.den)
+
+
+class _Level:
+    """One `verify_relations` call's level k, its words and its `_Generator`s.
+
+    Building it runs the admissions.  `fibers` serves every fiber table from
+    a memo local to the call, so each (map, length) is argsorted at most once.
+    """
+
+    def __init__(self, sys: DynamicalSystem, level: int):
+        windows = [m.window for m in sys.generators]
+        if not windows:
+            raise InvalidSystem("system has no generators")
+        max_window = max(windows)
+        composite_window = 2 * max_window - 1
+        if level < max_window + 2 or level < composite_window - 1:
+            raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
+        admit_level(level, level + max_window - 1)
+        if not all(m.is_progressive for m in sys.generators):
+            raise NotProgressive("isometries need a progressive rule")
+        # A square's composite standard frame is the largest frame array the suite builds.
+        admit_frame(max_window - 1)
+        self.k, self.words = level, np.arange(1 << level, dtype=np.int64)
+        self.fibers = functools.lru_cache(maxsize=None)(_fibers)
+        self.generators = [_Generator(self, name, m) for m, name in zip(sys.generators, sys.names)]
+
+
+def _relation_i(level: _Level, g: _Generator):
+    """(I) S_p M_f = M_{alpha f} S_p on the level-k indicator basis.
+
+    With c = F^(-1/2), S_p M_chi_u has c at (y, u) for img(y) = u and
+    M_{alpha chi_u} S_p has c at (y, img(y)) for (alpha chi_u)(y) = 1; alpha
+    of the coordinate function gives every alpha chi_u at once.  The witness
+    is the first failing u and the row-major first entry of the difference.
+    """
+    k, img, c = level.k, g.top, _inv_root(g.d)
+    pulled = alpha(g.m, CylinderFunction(k, level.words, np.zeros_like(level.words), 1)).num_a
+    moved = np.flatnonzero(img != pulled)
+    if not moved.size:
+        return None
+    u = int(min(img[moved].min(), pulled[moved].min()))
+    y = int(np.flatnonzero((img == u) != (pulled == u))[0])
+    col, value = (u, c) if img[y] == u else (int(img[y]), -c)
+    return _witness((g.name,), Word(k + g.d, y), Word(k, col), value)
+
+
+def _relation_ii(level: _Level, g: _Generator):
+    """(II) S_p* M_f S_p = M_{L f} on the image-level indicator basis.
+
+    S_p* M_chi_u S_p is c^2 at the single diagonal entry img(u), against the
+    transfer's fibers, which `_preimage_table` builds from the rule (for a
+    linear generator as the cosets of its kernel): entry (u, x) is
+    [img(u) = x] against the number of times the fiber of x lists u.
+    """
+    k, img = level.k, g.top
+    found = _count_difference(
+        (np.arange(img.size, dtype=np.int64) << k) | img,
+        ((_preimage_table(g.m, k) << k) | level.words[:, None]).ravel(),
+    )
+    if found is None:
+        return None
+    key, net = found
+    x = Word(k, key & ((1 << k) - 1))
+    return _witness((g.name,), x, x, QuadScalar.of(Fraction(net, g.m.fiber_count)))
+
+
+def _relation_iv(level: _Level, g: _Generator):
+    """(IV) sum_w M_{nu_w} S_p S_p* M_{nu_w} = 1 for the standard frame.
+
+    S_p S_p* is c^2 on the pairs of words that share an image, so the sum is
+    the frame Gram over c^-2 read on the same-fiber pairs of the argsort
+    fibers (`_fiber_gram`).  With the matrix units it decides that the
+    frame is a Parseval frame: a broken one fails them.
+    """
+    scale = g.m.fiber_count * g.den * g.den
+    rows, cols, ga, gb = _fiber_gram(g.fibers, g.prefix, *g.gram)
+    return _first_entry((g.name,), rows, cols, level.k, ga - scale * (rows == cols), gb, scale)
+
+
+def _matrix_units(level: _Level, g: _Generator):
+    """The matrix-unit algebra of the standard frame's operators.
+
+    S_p S_p* M_chi_b S_p S_p* = c^2 S_p S_p* exactly when every fiber holds
+    one word of prefix b; distinct frame members are orthogonal unless they
+    share a support word.  The witness names the first failing frame word b.
+    """
+    k, d, low, fibers = level.k, g.d, g.low, g.m.fiber_count
+    per_prefix = np.bincount(
+        (level.words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
+    ).reshape(fibers, -1)
+    for b, shared in enumerate(g.shared):
+        bad = per_prefix[b][low] != 1
+        if bad.any():
+            y = Word(k, int(np.argmax(bad)))
+            value = QuadScalar.of(Fraction(int(per_prefix[b][low[y.bits]]) - 1, fibers))
+            return _witness((g.name,), y, y, value)
+        if shared:
+            return _witness((g.name,), Word(k, 0), Word(k, 0), _inv_root(d) * _inv_root(d))
+    return None
+
+
+def _relation_iii(level: _Level, gi: _Generator, gj: _Generator):
+    """(III) S_i* S_j = S_j S_i* for distinct generators: its witness or None, and the pair detail.
+
+    It is expected to hold exactly for coprime pairs.  Entry (x', x) of
+    S_i* S_j counts y with img_i(y) = x' and img_j(y) = x; entry (z, v) of
+    S_j S_i* is 1 when img_j(z) = img_i(v); both times c_i c_j.
+    """
+    k, mi, mj, di, dj = level.k, gi.m, gj.m, gi.d, gj.d
+    zs, vs = _pairs(level.fibers(mj, k - di + dj), gi.fibers)
+    found = _count_difference((mi.image_table(k + dj) << k) | gj.top, (zs << k) | vs)
+    gcd = poly_gcd(mi.linear_poly, mj.linear_poly)
+    pair = [gi.name, gj.name]
+    detail = {"pair": pair, "gcd": str(gcd), "coprime": gcd == Gf2Poly.one(), "holds": not found}
+    if found is None:
+        return None, detail
+    key, net = found
+    value = _inv_root(di) * _inv_root(dj) * QuadScalar.of(net)
+    row, col = Word(k + dj - di, key >> k), Word(k, key & ((1 << k) - 1))
+    detail["witness"] = _witness(pair, row, col, value)
+    return detail["witness"], detail
+
+
+def _frame_independence(level: _Level, gi: _Generator, gj: _Generator):
+    """Frame independence of the reconstruction sum for the product of two generators.
+
+    The reconstruction sums of the composite's standard frame and of the
+    refined frame differ by c^2 times the difference of their Grams on the
+    same-fiber pairs, and not at all when the Grams agree on every pair of
+    prefixes.  The refined frame's Gram is the entrywise product of the
+    factor Grams, G_i(y, y') G_j(m_i y, m_i y') (`_refined_gram`).
+    """
+    comp = gi.m.compose(gj.m)
+    std = standard_frame(comp)
+    prefix = max(gi.prefix, gj.prefix + gi.m.window - 1, *(nu.level for nu in std))
+    den = math.lcm(gi.den * gj.den, *(nu.den for nu in std))
+    (sa, sb), _ = _frame_record(std, comp.window - 1, prefix, den)
+    rescale = (den // (gi.den * gj.den)) ** 2
+    ra, rb = (x * rescale for x in _refined_gram(gi.gram, gi.m, gj.gram, prefix))
+    if np.array_equal(sa, ra) and np.array_equal(sb, rb):
+        return None
+    rows, cols, da, db = _fiber_gram(level.fibers(comp, level.k), prefix, sa - ra, sb - rb)
+    scale = comp.fiber_count * den * den
+    return _first_entry((gi.name, gj.name), rows, cols, level.k, da, db, scale)
+
+
+_PER_GENERATOR = {
+    "I": _relation_i, "II": _relation_ii, "IV": _relation_iv,
+    "orthonormal_matrix_units": _matrix_units,
+}
+_RELATIONS = ("I", "II", "III", "IV", "frame_independence", "orthonormal_matrix_units")
 
 
 def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     """Check the defining operator relations for a system at one level.
 
-    (I)   S_p M_f = M_{alpha f} S_p on the level-k indicator basis,
-    (II)  S_p* M_f S_p = M_{L f} on the image-level indicator basis,
-    (III) S_p* S_q = S_q S_p* for every pair of distinct generators,
-          expected to hold exactly for coprime pairs,
-    (IV)  sum_w M_{nu_w} S_p S_p* M_{nu_w} = 1 for the standard frame,
-    plus frame-choice independence of the reconstruction sum for products
-    of two generators and the matrix-unit algebra of the frame operators.
-
-    S_p has one nonzero entry, c = F^(-1/2), per row, in the column of the
-    row's image, so each side is computed from image tables: S_p M_f has
-    rows f(img(y)) at column img(y); S_p* M_chi_u S_p is c^2 at the single
-    diagonal entry img(u), against the transfer's fibers, which
-    `_preimage_table` builds from the rule (for a linear generator as the
-    cosets of its kernel); S_p* S_q counts the y with a given pair of
-    images and S_q S_p* joins words with equal images; S_p S_p* is c^2 on
-    the pairs of words that share an image.  The frame Grams are exact
-    float64 products (`_stack_gram`), read with the members' shared
-    supports from `_frame_record`: the standard members of each degree
-    have one record, built once, and any other frame is stacked per call.
-    Frame independence compares the frame Gram of the composite standard
-    frame with the entrywise product of the factor Grams,
-    G_i(y, y') G_j(m_i y, m_i y'), which is the Gram of the refined frame
-    (`_refined_gram`, formed for every pair).  A failing relation names
-    the first failing indicator u (I, II) or frame word b (matrix units)
-    and the row-major first entry of the difference of its two sides.  IV
-    and the matrix units decide that each generator's frame is a Parseval
-    frame: a broken one fails them.
+    `_Level` admits the system and builds the level context.  On it,
+    `_relation_i`, `_relation_ii`, `_relation_iv` and `_matrix_units` run per
+    generator, `_relation_iii` per pair of distinct generators and
+    `_frame_independence` per product of two generators, squares included.
+    Each returns its first witness or None; a relation holds when none gives
+    one, and its witness is the first given.
     """
-    windows = [m.window for m in sys.generators]
-    if not windows:
-        raise InvalidSystem("system has no generators")
-    max_window = max(windows)
-    composite_window = 2 * max_window - 1
-    if level < max_window + 2 or level < composite_window - 1:
-        raise LevelTooSmall("level %d too small for windows %s" % (level, windows))
-    admit_level(level, level + max_window - 1)
-    if not all(m.is_progressive for m in sys.generators):
-        raise NotProgressive("isometries need a progressive rule")
-    # A square's composite standard frame is the largest frame array the suite builds.
-    admit_frame(max_window - 1)
-    k = level
-    relations = {
-        "I": True,
-        "II": True,
-        "III": True,
-        "IV": True,
-        "frame_independence": True,
-        "orthonormal_matrix_units": True,
-    }
+    context = _Level(sys, level)
+    gens = context.generators
+    found = [(name, check(context, g)) for g in gens for name, check in _PER_GENERATOR.items()]
+    checks = [_relation_iii(context, gi, gj) for i, gi in enumerate(gens) for gj in gens[i + 1 :]]
+    found += [("III", witness) for witness, _ in checks]
+    products = [(gi, gj) for i, gi in enumerate(gens) for gj in gens[i:]]
+    found += [("frame_independence", _frame_independence(context, *pair)) for pair in products]
     witnesses = {}
-    pair_details = []
-
-    def record(name, pair_names, row, col, value):
-        relations[name] = False
-        if name not in witnesses:
-            witnesses[name] = _witness(pair_names, row, col, value)
-
-    words = np.arange(1 << k, dtype=np.int64)
-    frames = []
-    for m, name in zip(sys.generators, sys.names):
-        d = m.window - 1
-        fibers = m.fiber_count
-        c = _inv_root(d)
-        img = m.image_table(k + d)
-        # (I): S_p M_chi_u has c at (y, u) for img(y) = u, M_{alpha chi_u} S_p
-        # has c at (y, img(y)) for (alpha chi_u)(y) = 1; alpha of the
-        # coordinate function gives every alpha chi_u at once.
-        pulled = alpha(m, CylinderFunction(k, words, np.zeros_like(words), 1)).num_a
-        moved = np.flatnonzero(img != pulled)
-        if moved.size:
-            u = int(min(img[moved].min(), pulled[moved].min()))
-            y = int(np.flatnonzero((img == u) != (pulled == u))[0])
-            if img[y] == u:
-                record("I", (name,), Word(k + d, y), Word(k, u), c)
-            else:
-                record("I", (name,), Word(k + d, y), Word(k, int(img[y])), -c)
-        # (II): entry (u, x) is [img(u) = x] against the number of times
-        # the transfer's fiber of x lists u, both times c^2.
-        fiber_words = _preimage_table(m, k)
-        found = _count_difference(
-            (np.arange(img.size, dtype=np.int64) << k) | img,
-            ((fiber_words << k) | words[:, None]).ravel(),
-        )
-        if found is not None:
-            key, net = found
-            x = Word(k, key & ((1 << k) - 1))
-            record("II", (name,), x, x, QuadScalar.of(Fraction(net, fibers)))
-        # (IV) and the matrix-unit algebra for the standard frame.
-        frame = standard_frame(m)
-        prefix = max(nu.level for nu in frame)
-        den = math.lcm(*(nu.den for nu in frame))
-        scale = fibers * den * den
-        gram, shared = _frame_record(frame, d, prefix, den)
-        frames.append((prefix, den, gram))
-        rows, cols, ga, gb = _fiber_gram(m, k, prefix, *gram)
-        found = _first_entry(rows, cols, k, ga - scale * (rows == cols), gb, scale)
-        if found is not None:
-            row, col, value = found
-            record("IV", (name,), Word(k, row), Word(k, col), value)
-        # S_p S_p* M_chi_b S_p S_p* = c^2 S_p S_p* exactly when every fiber
-        # holds one word of prefix b; distinct frame members are orthogonal.
-        low = m.image_table(k)
-        per_prefix = np.bincount(
-            (words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
-        ).reshape(fibers, -1)
-        for b in range(len(frame)):
-            bad = per_prefix[b][low] != 1
-            if bad.any():
-                y = Word(k, int(np.argmax(bad)))
-                value = QuadScalar.of(Fraction(int(per_prefix[b][low[y.bits]]) - 1, fibers))
-                record("orthonormal_matrix_units", (name,), y, y, value)
-                break
-            if shared[b]:
-                record("orthonormal_matrix_units", (name,), Word(k, 0), Word(k, 0), c * c)
-                break
-
-    # (III) for every unordered pair of distinct generators: entry (x', x)
-    # of S_i* S_j counts y with img_i(y) = x' and img_j(y) = x; entry
-    # (z, v) of S_j S_i* is 1 when img_j(z) = img_i(v); both times c_i c_j.
-    for i in range(sys.rank):
-        for j in range(i + 1, sys.rank):
-            mi, mj = sys.generators[i], sys.generators[j]
-            di, dj = mi.window - 1, mj.window - 1
-            zs, vs = _pairs(_fibers(mj, k - di + dj), _fibers(mi, k))
-            found = _count_difference(
-                (mi.image_table(k + dj) << k) | mj.image_table(k + dj), (zs << k) | vs
-            )
-            gcd = poly_gcd(mi.linear_poly, mj.linear_poly)
-            detail = {
-                "pair": [sys.names[i], sys.names[j]],
-                "gcd": str(gcd),
-                "coprime": gcd == Gf2Poly.one(),
-                "holds": found is None,
-            }
-            if found is not None:
-                key, net = found
-                value = _inv_root(di) * _inv_root(dj) * QuadScalar.of(net)
-                witness = _witness(
-                    (sys.names[i], sys.names[j]),
-                    Word(k + dj - di, key >> k),
-                    Word(k, key & ((1 << k) - 1)),
-                    value,
-                )
-                relations["III"] = False
-                witnesses.setdefault("III", witness)
-                detail["witness"] = witness
-            pair_details.append(detail)
-
-    # Frame independence for products of two generators (including squares):
-    # the reconstruction sums of the two frames differ by c^2 times the
-    # difference of their Grams on the same-fiber pairs, and not at all
-    # when the Grams agree on every pair of prefixes.
-    for i in range(sys.rank):
-        for j in range(i, sys.rank):
-            mi, mj = sys.generators[i], sys.generators[j]
-            (pi, den_i, gram_i), (pj, den_j, gram_j) = frames[i], frames[j]
-            comp = mi.compose(mj)
-            std = standard_frame(comp)
-            prefix = max(pi, pj + mi.window - 1, *(nu.level for nu in std))
-            den = math.lcm(den_i * den_j, *(nu.den for nu in std))
-            (sa, sb), _ = _frame_record(std, comp.window - 1, prefix, den)
-            rescale = (den // (den_i * den_j)) ** 2
-            ra, rb = (g * rescale for g in _refined_gram(gram_i, mi, gram_j, prefix))
-            if np.array_equal(sa, ra) and np.array_equal(sb, rb):
-                continue
-            rows, cols, da, db = _fiber_gram(comp, k, prefix, sa - ra, sb - rb)
-            found = _first_entry(rows, cols, k, da, db, comp.fiber_count * den * den)
-            if found is not None:
-                row, col, value = found
-                record(
-                    "frame_independence",
-                    (sys.names[i], sys.names[j]),
-                    Word(k, row),
-                    Word(k, col),
-                    value,
-                )
-
-    return RelationReport(level, relations, witnesses, tuple(pair_details))
+    for name, witness in found:
+        if witness is not None:
+            witnesses.setdefault(name, witness)
+    relations = {name: name not in witnesses for name in _RELATIONS}
+    return RelationReport(level, relations, witnesses, tuple(detail for _, detail in checks))
 
 
 @dataclass(frozen=True)

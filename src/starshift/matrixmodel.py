@@ -33,6 +33,7 @@ from .cylinder import (
     _pairs,
     _preimage_table,
     _refined_gram,
+    _standard_record,
     alpha,
     standard_frame,
 )
@@ -236,11 +237,33 @@ def _first_entry(pair_names, rows, cols, k: int, num_a, num_b, den: int):
     return _witness(pair_names, Word(k, int(rows[i])), Word(k, int(cols[i])), value)
 
 
+def _identity_scale(gram, d: int):
+    """s when a Gram (a, b) over the d-bit words is (s I, 0), else None."""
+    (a, b), s = gram, int(gram[0][0, 0])
+    identity = len(a) == 1 << d and np.array_equal(a, s * np.eye(len(a), dtype=np.int64))
+    return s if identity and not b.any() else None
+
+
+_standard_scale = functools.lru_cache(11)(lambda d: _identity_scale(_standard_record(d)[0], d))
+
+
+def _record_scale(gram, d: int):
+    """A degree-d record's `_identity_scale`, the standard record's decided once per degree."""
+    return _standard_scale(d) if gram is _standard_record(d)[0] else _identity_scale(gram, d)
+
+
+def _one_per_cell(words: np.ndarray, img: np.ndarray, d: int) -> bool:
+    """Whether the words of an image table hold one word per (image, d-bit prefix) cell."""
+    cells = (img << d) | (words[: img.size] >> (img.size.bit_length() - 1 - d))
+    return bool((np.bincount(cells, minlength=img.size) == 1).all())
+
+
 class _Generator:
     """One generator of degree d at level k, its tables and its frame record, built once per call.
 
-    `top` and `low` are its image tables at k + d and k, `fibers` its fiber table
-    at k; `prefix`, `den`, `gram` and `shared` are its standard frame's `_frame_record`.
+    `top` and `low` are its image tables at k + d and k, `fibers` its fiber table at k;
+    `prefix`, `den`, `gram` and `shared` are its standard frame's `_frame_record`, `scale`
+    its `_record_scale` (not None: scaled identity) and `distinct` `_one_per_cell(low)`.
     """
 
     def __init__(self, level: _Level, name: str, m: WindowMap):
@@ -250,6 +273,8 @@ class _Generator:
         frame = standard_frame(m)
         self.prefix, self.den = max(nu.level for nu in frame), math.lcm(*(nu.den for nu in frame))
         self.gram, self.shared = _frame_record(frame, self.d, self.prefix, self.den)
+        self.scale = _record_scale(self.gram, self.d)
+        self.distinct = _one_per_cell(level.words, self.low, self.d)
 
 
 class _Level:
@@ -303,11 +328,15 @@ def _relation_ii(level: _Level, g: _Generator):
     transfer's fibers, which `_preimage_table` builds from the rule (for a
     linear generator as the cosets of its kernel): entry (u, x) is
     [img(u) = x] against the number of times the fiber of x lists u.
+    Certificate: rows that ascend strictly and that img sends to their x list
+    each word once, in the row of its image, so both sides count alike.
     """
-    k, img = level.k, g.top
+    k, img, listed = level.k, g.top, _preimage_table(g.m, level.k)
+    if (listed[:, 1:] > listed[:, :-1]).all() and (img[listed] == level.words[:, None]).all():
+        return None
     found = _count_difference(
         (np.arange(img.size, dtype=np.int64) << k) | img,
-        ((_preimage_table(g.m, k) << k) | level.words[:, None]).ravel(),
+        ((listed << k) | level.words[:, None]).ravel(),
     )
     if found is None:
         return None
@@ -322,9 +351,13 @@ def _relation_iv(level: _Level, g: _Generator):
     S_p S_p* is c^2 on the pairs of words that share an image, so the sum is
     the frame Gram over c^-2 read on the same-fiber pairs of the argsort
     fibers (`_fiber_gram`).  With the matrix units it decides that the
-    frame is a Parseval frame: a broken one fails them.
+    frame is a Parseval frame: a broken one fails them.  Certificate: if
+    the record is (s I, 0) with s = F den^2 and `g.distinct` holds, each row
+    is one fiber of distinct prefixes, where the Gram reads s [y = y'].
     """
     scale = g.m.fiber_count * g.den * g.den
+    if g.scale == scale and g.distinct:
+        return None
     rows, cols, ga, gb = _fiber_gram(g.fibers, g.prefix, *g.gram)
     return _first_entry((g.name,), rows, cols, level.k, ga - scale * (rows == cols), gb, scale)
 
@@ -335,8 +368,11 @@ def _matrix_units(level: _Level, g: _Generator):
     S_p S_p* M_chi_b S_p S_p* = c^2 S_p S_p* exactly when every fiber holds
     one word of prefix b; distinct frame members are orthogonal unless they
     share a support word.  The witness names the first failing frame word b.
+    Certificate: under `g.distinct` no word b fails, so without a shared flag none does.
     """
     k, d, low, fibers = level.k, g.d, g.low, g.m.fiber_count
+    if g.distinct and g.shared.size <= fibers and not g.shared.any():
+        return None
     per_prefix = np.bincount(
         (level.words >> (k - d)) * (1 << (k - d)) + low, minlength=fibers << (k - d)
     ).reshape(fibers, -1)
@@ -381,13 +417,21 @@ def _frame_independence(level: _Level, gi: _Generator, gj: _Generator):
     same-fiber pairs, and not at all when the Grams agree on every pair of
     prefixes.  The refined frame's Gram is the entrywise product of the
     factor Grams, G_i(y, y') G_j(m_i y, m_i y') (`_refined_gram`).
+    Certificate: with scaled-identity records, the composite's at p = d_i + d_j
+    with s = rescale s_i s_j, the Grams s [m_i y = m_i y'] [y >> d_j = y' >> d_j]
+    and s [y = y'] agree exactly when the m_i fibers of p-bit words have distinct d_i-bit prefixes.
     """
     comp = gi.m.compose(gj.m)
     std = standard_frame(comp)
     prefix = max(gi.prefix, gj.prefix + gi.m.window - 1, *(nu.level for nu in std))
     den = math.lcm(gi.den * gj.den, *(nu.den for nu in std))
-    (sa, sb), _ = _frame_record(std, comp.window - 1, prefix, den)
-    rescale = (den // (gi.den * gj.den)) ** 2
+    p, rescale = comp.window - 1, (den // (gi.den * gj.den)) ** 2
+    gram, _ = _frame_record(std, p, prefix, den)
+    s = _record_scale(gram, p)
+    if None not in (s, gi.scale, gj.scale) and s == rescale * gi.scale * gj.scale:
+        if _one_per_cell(level.words, gi.m.image_table(p), gi.d):
+            return None
+    sa, sb = gram
     ra, rb = (x * rescale for x in _refined_gram(gi.gram, gi.m, gj.gram, prefix))
     if np.array_equal(sa, ra) and np.array_equal(sb, rb):
         return None
@@ -411,7 +455,8 @@ def verify_relations(sys: DynamicalSystem, level: int) -> RelationReport:
     generator, `_relation_iii` per pair of distinct generators and
     `_frame_independence` per product of two generators, squares included.
     Each returns its first witness or None; a relation holds when none gives
-    one, and its witness is the first given.
+    one, and its witness is the first given.  II, IV, the matrix units and
+    frame independence run their witness routes only when a certificate fails.
     """
     context = _Level(sys, level)
     gens = context.generators
